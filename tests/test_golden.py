@@ -1,0 +1,89 @@
+"""Byte identity of everything the package serializes.
+
+Each output below is hashed with SHA-256 and compared with a hash committed
+here. The hashes were taken before the derived views, the outcome-kind table,
+the differential loops and the claim encoders were merged, so a refactor that
+changes one byte of a trace, a report or a harness count fails this test.
+Equivalence traces are collected by wrapping `Engine.run_transaction`, which
+keeps the test independent of the harness API.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+from dataclasses import asdict
+from pathlib import Path
+
+import pytest
+
+from txmonsim.engine import Engine
+from txmonsim.equivalence import CASES, run_case, run_composition
+from txmonsim.scenarios import counterexample_suite, run_flashloan_suite, run_scenario
+from txmonsim.serialize import dump_traces, outcome_to_json, report_to_json, scenario_from_json
+
+SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
+EQUIVALENCE_SEEDS = range(0, 40)
+
+GOLDEN = {
+    "counterexamples": "fa352e8f521ffbc0744bb5570be6d98330070c8b2f2f83476b8b538cd1ee49ca",
+    "equivalence": "7cbdd61038dd7ebf3093986583c10247f6587258a8264746921434518ab67757",
+    "flashloan": "8f9367b5928e6fb9e98d0e234e16ca93d86e358454313683e972db177b3cf4e9",
+    "scenarios": "236098bade4a210f975ea722c00e937a14ef6fdbc03d82202188be1a6787b05d",
+}
+
+
+def _dumps(obj) -> bytes:
+    return json.dumps(obj, indent=2, sort_keys=True).encode()
+
+
+def counterexamples_output(h, monkeypatch) -> None:
+    for report in counterexample_suite():
+        h.update(_dumps(report_to_json(report)))
+
+
+def flashloan_output(h, monkeypatch) -> None:
+    h.update(_dumps([asdict(row) for row in run_flashloan_suite().rows]))
+
+
+def scenarios_output(h, monkeypatch) -> None:
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        result = run_scenario(scenario_from_json(json.loads(path.read_text())))
+        h.update(path.name.encode())
+        h.update(dump_traces(list(result.traces)).encode())
+        h.update(_dumps([outcome_to_json(o) for o in result.outcomes]))
+
+
+def equivalence_output(h, monkeypatch) -> None:
+    results = []
+    original = Engine.run_transaction
+
+    def recording(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(Engine, "run_transaction", recording)
+    runs = [lambda seeds, case=case: run_case(case, seeds) for case in CASES.values()]
+    for run in runs + [run_composition]:
+        report = run(EQUIVALENCE_SEEDS)
+        h.update(dump_traces([r.trace for r in results]).encode())
+        h.update(_dumps([outcome_to_json(r.outcome) for r in results]))
+        counts = [report.case, report.scenarios, report.transactions, report.commits, report.aborts]
+        h.update(_dumps(counts + [len(report.failures)]))
+        results.clear()
+
+
+OUTPUTS = {
+    "counterexamples": counterexamples_output,
+    "flashloan": flashloan_output,
+    "scenarios": scenarios_output,
+    "equivalence": equivalence_output,
+}
+
+
+@pytest.mark.parametrize("name", sorted(OUTPUTS))
+def test_serialized_output_is_byte_identical(name, monkeypatch):
+    h = hashlib.sha256()
+    OUTPUTS[name](h, monkeypatch)
+    assert h.hexdigest() == GOLDEN[name]
