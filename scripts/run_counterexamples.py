@@ -6,7 +6,7 @@ import argparse
 import json
 from pathlib import Path
 
-from txmonsim.scenarios import counterexample_suite, reason_kind, verify_report
+from txmonsim.scenarios import counterexample_suite, verify_report
 from txmonsim.serialize import report_to_json
 
 
@@ -24,7 +24,7 @@ def main() -> int:
             shapes = "  ->  ".join("[" + ", ".join(s) + "]" for s in claim.shapes)
             print(f"   queue {claim.trace}: {shapes}")
         for key in sorted(report.verdicts):
-            print(f"   verdict {key}: {reason_kind(report.verdicts[key])}")
+            print(f"   verdict {key}: {report.verdicts[key].kind}")
         for claim in report.obs_claims:
             rel = "==" if claim.expect_equal else "!="
             print(

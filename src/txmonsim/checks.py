@@ -6,8 +6,6 @@ runners can aggregate them into reports and tests can assert emptiness.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from .core import (
     Aborted,
     Address,
@@ -62,11 +60,7 @@ def check_monitor_shape(trace: Trace, registry: Registry) -> list[str]:
     Begin/Op/End contiguous where those hooks exist; all Terms after the last
     Op, in first-visit order."""
     problems = []
-    monitored = {
-        a
-        for a, c in registry.items()
-        if any(h is not None for h in (c.init, c.begin, c.end, c.term))
-    }
+    monitored = {a for a, c in registry.items() if c.monitored}
     records = trace.records
     inits: dict[Address, int] = {}
     first_op: dict[Address, int] = {}
@@ -151,13 +145,11 @@ def check_conservation(pre: ChainState, result: TxResult) -> list[str]:
     return []
 
 
-def check_replay(registry: Registry, trace: Trace, sample: Optional[int] = None) -> list[str]:
+def check_replay(registry: Registry, trace: Trace) -> list[str]:
     """Re-run recorded steps from their recorded inputs; pure steps must
     reproduce their storage result and emissions exactly."""
     problems = []
     ops = [r for r in trace.records if r.kind is RecordKind.OP]
-    if sample is not None:
-        ops = ops[:sample]
     for r in ops:
         new_storage, emitted = replay_step(registry, trace.meta, r)
         if new_storage != r.storage_after:
@@ -167,18 +159,12 @@ def check_replay(registry: Registry, trace: Trace, sample: Optional[int] = None)
     return problems
 
 
-def check_all(
-    registry: Registry,
-    pre: ChainState,
-    result: TxResult,
-    replay: bool = True,
-) -> list[str]:
+def check_all(registry: Registry, pre: ChainState, result: TxResult) -> list[str]:
     problems = []
     problems += check_queue_laws(result.trace)
     problems += check_gas(result.trace)
     problems += check_monitor_shape(result.trace, registry)
     problems += check_hook_isolation(result.trace)
     problems += check_conservation(pre, result)
-    if replay:
-        problems += check_replay(registry, result.trace)
+    problems += check_replay(registry, result.trace)
     return problems

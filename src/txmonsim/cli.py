@@ -26,7 +26,6 @@ from .equivalence import run_equivalence_suite
 from .scenarios import (
     check_obs_equivalence,
     counterexample_suite,
-    reason_kind,
     run_flashloan_suite,
     run_scenario,
     verify_report,
@@ -81,8 +80,7 @@ def main() -> None:
 )
 @click.option("--trace", "trace_out", default=None, help="Write the trace file here.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text")
-@click.option("--seed", type=int, default=0, help="Accepted for interface parity; unused.")
-def run(scenario_path, scheduler, gas, mechanisms, monitor_mode, trace_out, fmt, seed):
+def run(scenario_path, scheduler, gas, mechanisms, monitor_mode, trace_out, fmt):
     """Run a scenario file and report per-transaction outcomes."""
     try:
         path = _resolve_scenario(scenario_path)
@@ -106,9 +104,7 @@ def run(scenario_path, scheduler, gas, mechanisms, monitor_mode, trace_out, fmt,
     if trace_out:
         Path(trace_out).write_text(dump_traces(list(result.traces)))
     outcomes = [outcome_to_json(o) for o in result.outcomes]
-    lines = [
-        f"tx {i}: {reason_kind(o)}" for i, o in enumerate(result.outcomes)
-    ]
+    lines = [f"tx {i}: {o.kind}" for i, o in enumerate(result.outcomes)]
     _emit({"outcomes": outcomes, "lines": lines}, fmt)
     sys.exit(0 if result.all_committed else 1)
 
@@ -180,7 +176,7 @@ def suite(name, seed, instances, fmt, out_dir):
             (out / f"{report.name}.json").write_text(
                 json.dumps(report_to_json(report), indent=2, sort_keys=True)
             )
-            verdicts = {k: reason_kind(v) for k, v in report.verdicts.items()}
+            verdicts = {k: v.kind for k, v in report.verdicts.items()}
             payload["reports"].append(
                 {"name": report.name, "verdicts": verdicts, "problems": problems}
             )
@@ -250,14 +246,14 @@ def explain(report_path):
     """Re-verify a saved counter-example report and print its claims."""
     try:
         report = report_from_json(json.loads(Path(report_path).read_text()))
-    except (ScenarioError, OSError, json.JSONDecodeError, KeyError) as exc:
+    except (ScenarioError, OSError, json.JSONDecodeError) as exc:
         click.echo(f"report error: {exc}", err=True)
         sys.exit(2)
     problems = verify_report(report)
     click.echo(f"report: {report.name}")
     for key in sorted(report.traces):
         n = len(report.traces[key].records)
-        click.echo(f"  trace {key}: {n} records, verdict {reason_kind(report.verdicts[key])}")
+        click.echo(f"  trace {key}: {n} records, verdict {report.verdicts[key].kind}")
     for c in report.queue_claims:
         click.echo(f"  queue[{c.trace}]: {[' '.join(s) for s in c.shapes]}")
     for c in report.obs_claims:

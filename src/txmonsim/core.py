@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, Iterable, Mapping, Optional
+from typing import Any, Callable, ClassVar, Iterable, Mapping, Optional
 
 Address = str
 
@@ -119,19 +119,8 @@ class VRec(Value):
         out[key] = value
         return VRec(out)
 
-    def as_dict(self) -> dict[str, Value]:
-        return dict(self.entries)
-
 
 UNIT = VUnit()
-
-
-def vrec(**fields: Value) -> VRec:
-    return VRec(fields)
-
-
-def vseq(*items: Value) -> VSeq:
-    return VSeq(tuple(items))
 
 
 def checked_int(n: int) -> VInt:
@@ -457,6 +446,11 @@ class ContractDef:
     recurring_methods: frozenset[str] = frozenset()
     mechanism_uses: frozenset[Mechanism] = frozenset()
 
+    @property
+    def monitored(self) -> bool:
+        """True when the contract has at least one monitor hook."""
+        return any(h is not None for h in (self.init, self.begin, self.end, self.term))
+
 
 Registry = Mapping[Address, ContractDef]
 
@@ -466,52 +460,64 @@ Registry = Mapping[Address, ContractDef]
 
 
 class AbortReason:
+    """Why a transaction aborted. `kind` is the stable label that claims,
+    verdict tables and serialized outcomes use."""
+
     __slots__ = ()
+    kind: ClassVar[str]
 
 
 @dataclass(frozen=True, slots=True)
 class ContractFail(AbortReason):
+    kind = "contract_fail"
     addr: Address
     text: str
 
 
 @dataclass(frozen=True, slots=True)
 class InsufficientBalance(AbortReason):
+    kind = "insufficient_balance"
     op: Operation
 
 
 @dataclass(frozen=True, slots=True)
 class GasExhausted(AbortReason):
-    pass
+    kind = "gas_exhausted"
 
 
 @dataclass(frozen=True, slots=True)
 class MonitorInitFail(AbortReason):
+    kind = "monitor_init_fail"
     addr: Address
 
 
 @dataclass(frozen=True, slots=True)
 class MonitorBeginFail(AbortReason):
+    kind = "monitor_begin_fail"
     addr: Address
 
 
 @dataclass(frozen=True, slots=True)
 class MonitorEndFail(AbortReason):
+    kind = "monitor_end_fail"
     addr: Address
 
 
 @dataclass(frozen=True, slots=True)
 class MonitorTermFail(AbortReason):
+    kind = "monitor_term_fail"
     addr: Address
 
 
 @dataclass(frozen=True, slots=True)
 class HookupFail(AbortReason):
+    kind = "hookup_fail"
     addr: Address
 
 
 @dataclass(frozen=True, slots=True)
 class FailBitSet(AbortReason):
+    kind = "fail_bit_set"
     addrs: frozenset[Address]
 
     def __post_init__(self) -> None:
@@ -520,11 +526,16 @@ class FailBitSet(AbortReason):
 
 @dataclass(frozen=True, slots=True)
 class RecurringEscape(AbortReason):
+    kind = "recurring_escape"
     op: Operation
 
 
 class Outcome:
+    """A transaction's verdict; `kind` is "committed" or the abort reason's
+    kind."""
+
     __slots__ = ()
+    kind: str
 
     @property
     def committed(self) -> bool:
@@ -533,12 +544,17 @@ class Outcome:
 
 @dataclass(frozen=True, slots=True)
 class Committed(Outcome):
+    kind = "committed"
     final: ChainState
 
 
 @dataclass(frozen=True, slots=True)
 class Aborted(Outcome):
     reason: AbortReason
+
+    @property
+    def kind(self) -> str:
+        return self.reason.kind
 
 
 # ---------------------------------------------------------------------------

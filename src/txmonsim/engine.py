@@ -13,6 +13,7 @@ that recurring self-injection reliably exhausts it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from types import SimpleNamespace
 from typing import Optional, Union
 
 from .core import (
@@ -48,10 +49,12 @@ from .core import (
     Trace,
     TraceMeta,
     Value,
+    as_bool,
+    as_int,
     digest,
     storage_digest,
 )
-from .mechanisms import ContextView, end_of_tx_fail_check, fold_effects, run_hookups
+from .mechanisms import ContextView, DerivedView, end_of_tx_fail_check, fold_effects, run_hookups
 
 OP_COST = 1
 EMIT_COST = 1
@@ -95,12 +98,6 @@ def charge_gas(ctx: Context, cost: int) -> Optional[Context]:
     if cost > ctx.gas_remaining:
         return None
     return ctx.with_gas(ctx.gas_remaining - cost)
-
-
-def _is_monitored(contract: ContractDef) -> bool:
-    return any(
-        h is not None for h in (contract.init, contract.begin, contract.end, contract.term)
-    )
 
 
 class Engine:
@@ -183,7 +180,7 @@ class Engine:
         if (
             cfg.monitor_mode is MonitorMode.TRANSACTION
             and op.dest not in ctx.visited
-            and _is_monitored(contract)
+            and contract.monitored
         ):
             acct = state.get(op.dest)
             if contract.init is not None:
@@ -357,7 +354,7 @@ class Engine:
         if cfg.monitor_mode is MonitorMode.TRANSACTION:
             for addr in ctx.visited:
                 contract = self.registry.get(addr)
-                if contract is None or not _is_monitored(contract):
+                if contract is None or not contract.monitored:
                     continue
                 acct = state.get(addr)
                 if contract.term is not None:
@@ -467,69 +464,6 @@ def run_transaction(
     return Engine(registry, config).run_transaction(state, external, **kwargs)
 
 
-class ReplayView:
-    """Serves one recorded operation's mechanism readings back to its step
-    function so the step can be re-evaluated from the trace alone."""
-
-    def __init__(self, record: StepRecord, meta: TraceMeta):
-        self._r = record
-        self._meta = meta
-        self.self_addr = record.subject
-        self.balance = record.balance_seen
-        self.storage = record.storage_before
-        self._txmem = record.readings.get("txmem_in")
-
-    def _served(self, name: str):
-        if name not in self._r.readings:
-            raise ScenarioError(f"replay asked for unrecorded reading {name!r}")
-        return self._r.readings[name]
-
-    @property
-    def block_level(self) -> int:
-        return self._meta.block_level
-
-    @property
-    def timestamp(self) -> int:
-        return self._meta.timestamp
-
-    @property
-    def tx_money(self) -> int:
-        return self._meta.external.money
-
-    @property
-    def first(self) -> bool:
-        from .core import as_bool
-
-        return as_bool(self._served("first"))
-
-    @property
-    def count(self) -> int:
-        from .core import as_int
-
-        return as_int(self._served("count"))
-
-    @property
-    def queue(self) -> bool:
-        from .core import as_bool
-
-        return as_bool(self._served("queue"))
-
-    @property
-    def txmem(self):
-        if self._txmem is None:
-            raise ScenarioError("replay asked for unrecorded txmem")
-        return self._txmem
-
-    def set_txmem(self, value) -> None:
-        self._txmem = value
-
-    def set_fail(self, value: bool) -> None:
-        pass
-
-    def note_reading(self, name: str, value) -> None:
-        pass
-
-
 def replay_step(
     registry: Registry, meta: TraceMeta, record: StepRecord
 ) -> tuple[Value, tuple[Operation, ...]]:
@@ -538,7 +472,31 @@ def replay_step(
     if record.kind is not RecordKind.OP or record.executed is None:
         raise ScenarioError("only operation records can be replayed")
     contract = registry[record.subject]
-    view = ReplayView(record, meta)
+    readings = dict(record.readings)  # a replayed txmem write lands here
+
+    def served(name: str) -> Value:
+        if name not in readings:
+            raise ScenarioError(f"replay asked for unrecorded reading {name!r}")
+        return readings[name]
+
+    inputs = SimpleNamespace(
+        self_addr=record.subject,
+        balance=record.balance_seen,
+        storage=record.storage_before,
+        block_level=meta.block_level,
+        timestamp=meta.timestamp,
+        tx_money=meta.external.money,
+        note_reading=lambda name, value: None,
+    )
+    view = DerivedView(
+        inputs,
+        first=lambda: as_bool(served("first")),
+        count=lambda: as_int(served("count")),
+        queue=lambda: as_bool(served("queue")),
+        txmem=lambda: served("txmem_in"),
+        set_txmem=lambda value: readings.__setitem__("txmem_in", value),
+        set_fail=lambda value: None,
+    )
     op = record.executed
     result = contract.step(view, op.method, op.param, op.money, record.storage_before, record.balance_seen)
     if not isinstance(result, StepOk):

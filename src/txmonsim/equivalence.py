@@ -51,7 +51,6 @@ from .core import (
     as_text,
 )
 from .engine import Engine, EngineConfig
-from .scenarios import reason_kind
 from .transformers import (
     TransformedContract,
     monitor_storage_of,
@@ -69,6 +68,7 @@ from .transformers import (
 )
 
 T, F, S, EXT = "T", "F", "S", "ext"
+GAS_LIMIT = 400
 
 
 # ---------------------------------------------------------------------------
@@ -159,18 +159,14 @@ def make_subject(profile: str, hook_spec: tuple = ()) -> tuple[ContractDef, Valu
     monitor_storage: Value = UNIT
     contract = ContractDef(step=step)
 
-    if profile == "count":
-        contract = replace(contract, mechanism_uses=frozenset({Mechanism.COUNT}))
-    elif profile == "first":
-        contract = replace(contract, mechanism_uses=frozenset({Mechanism.FIRST}))
+    if profile in ("count", "first", "fail"):
+        contract = replace(contract, mechanism_uses=frozenset({Mechanism(profile)}))
     elif profile == "txmem":
         contract = replace(
             contract,
             txmem_init=lambda storage: VRec({"flag": VBool(True), "acc": VInt(0)}),
             mechanism_uses=frozenset({Mechanism.TXMEM}),
         )
-    elif profile == "fail":
-        contract = replace(contract, mechanism_uses=frozenset({Mechanism.FAIL}))
     elif profile == "bstore":
         kind, k = hook_spec
 
@@ -242,7 +238,6 @@ class GeneratedScenario:
     hook_spec: tuple
     subject_balance: int
     transactions: tuple[Operation, ...]
-    gas_limit: int
 
 
 def _gen_act_param(rng: random.Random, profile: str, depth: int) -> Value:
@@ -285,7 +280,7 @@ def _plan_spec(rng: random.Random, profile: str, depth: int) -> VRec:
 
 
 def generate_scenario(
-    profile: str, seed: int, scheduler: Optional[SchedulerKind] = None, gas_limit: int = 400
+    profile: str, seed: int, scheduler: Optional[SchedulerKind] = None
 ) -> GeneratedScenario:
     rng = random.Random(seed)
     if scheduler is None:
@@ -315,7 +310,6 @@ def generate_scenario(
         hook_spec=hook_spec,
         subject_balance=100,
         transactions=tuple(txs),
-        gas_limit=gas_limit,
     )
 
 
@@ -349,7 +343,6 @@ class TransformerCase:
     native_monitor_mode: MonitorMode = MonitorMode.NONE
     reading_key: Optional[str] = None
     scheduler: Optional[SchedulerKind] = None
-    gas_limit: int = 400
     abort_match: Callable[[AbortReason, AbortReason], bool] = _same_kind
     check_monitor_storage: bool = False
 
@@ -497,14 +490,11 @@ class DiffReport:
 def run_case(
     case: TransformerCase,
     seeds: range,
-    debug: bool = False,
     on_trace: Optional[Callable[[Trace], None]] = None,
 ) -> DiffReport:
     report = DiffReport(case=case.name)
     for seed in seeds:
-        scenario = generate_scenario(
-            case.profile, seed, scheduler=case.scheduler, gas_limit=case.gas_limit
-        )
+        scenario = generate_scenario(case.profile, seed, scheduler=case.scheduler)
         subject, storage0, monitor0 = make_subject(case.profile, scenario.hook_spec)
         transformed = case.transform(subject)
 
@@ -514,20 +504,18 @@ def run_case(
             native_registry,
             EngineConfig(
                 scheduler=scenario.scheduler,
-                gas_limit=scenario.gas_limit,
+                gas_limit=GAS_LIMIT,
                 mechanisms=case.native_mechs,
                 monitor_mode=case.native_monitor_mode,
             ),
-            debug=debug,
         )
         trans_engine = Engine(
             trans_registry,
             EngineConfig(
                 scheduler=scenario.scheduler,
-                gas_limit=scenario.gas_limit,
+                gas_limit=GAS_LIMIT,
                 mechanisms=case.target_mechs,
             ),
-            debug=debug,
         )
         report.scenarios += 1
 
@@ -544,8 +532,8 @@ def run_case(
 
             if rn.committed != rt.committed:
                 fail(
-                    f"verdict split: native {reason_kind(rn.outcome)}, "
-                    f"transformed {reason_kind(rt.outcome)}"
+                    f"verdict split: native {rn.outcome.kind}, "
+                    f"transformed {rt.outcome.kind}"
                 )
                 break
             if case.reading_key is not None:
@@ -574,64 +562,36 @@ def run_case(
                 report.aborts += 1
                 if not case.abort_match(rn.outcome.reason, rt.outcome.reason):  # type: ignore[union-attr]
                     fail(
-                        f"abort channels differ: native {reason_kind(rn.outcome)}, "
-                        f"transformed {reason_kind(rt.outcome)}"
+                        f"abort channels differ: native {rn.outcome.kind}, "
+                        f"transformed {rt.outcome.kind}"
                     )
                     break
     return report
+
+
+def _count_round_trip(c: ContractDef) -> TransformedContract:
+    """Compile count away with sim_count_via_first, then first away again
+    with sim_first_via_count: a count contract on a count engine."""
+    inner = sim_count_via_first(c)
+    outer = sim_first_via_count(inner.wrapped)
+    return TransformedContract(
+        wrapped=outer.wrapped,
+        project=lambda s: inner.project(outer.project(s)),
+        wrap_storage=lambda s, ms=UNIT: outer.wrap_storage(inner.wrap_storage(s, ms)),
+    )
+
+
+COMPOSITION = TransformerCase(
+    "composition_count_first_count", "count", _count_round_trip,
+    frozenset({Mechanism.COUNT}), frozenset({Mechanism.COUNT}),
+    reading_key="count",
+)
 
 
 def run_composition(seeds: range) -> DiffReport:
     """Round trip: compile count away and back, then compare against the
     original under the native count engine."""
-    report = DiffReport(case="composition_count_first_count")
-    for seed in seeds:
-        scenario = generate_scenario("count", seed, gas_limit=400)
-        subject, storage0, monitor0 = make_subject("count")
-        inner = sim_count_via_first(subject)
-        outer = sim_first_via_count(inner.wrapped)
-
-        native_registry, native_state = _build_states(scenario, subject, storage0, monitor0, None)
-        round_registry, round_state = _build_states(
-            scenario, subject, outer.wrap_storage(inner.wrap_storage(storage0)), monitor0, None
-        )
-        round_registry[T] = outer.wrapped
-        config = EngineConfig(
-            scheduler=scenario.scheduler,
-            gas_limit=scenario.gas_limit,
-            mechanisms=frozenset({Mechanism.COUNT}),
-        )
-        native_engine = Engine(native_registry, config)
-        round_engine = Engine(round_registry, config)
-        report.scenarios += 1
-
-        for i, op in enumerate(scenario.transactions):
-            rn = native_engine.run_transaction(native_state, op)
-            rr = round_engine.run_transaction(round_state, op)
-            report.transactions += 1
-            if rn.committed != rr.committed:
-                report.failures.append(
-                    DiffFailure(report.case, seed, i, "verdict split on round trip")
-                )
-                break
-            if _subject_readings(rn.trace, "count") != _subject_readings(rr.trace, "count"):
-                report.failures.append(
-                    DiffFailure(report.case, seed, i, "count readings differ on round trip")
-                )
-                break
-            if isinstance(rn.outcome, Committed):
-                report.commits += 1
-                native_state = rn.outcome.final
-                round_state = rr.outcome.final  # type: ignore[union-attr]
-                projected = inner.project(outer.project(round_state.storage(T)))
-                if projected != native_state.storage(T):
-                    report.failures.append(
-                        DiffFailure(report.case, seed, i, "round-trip storage differs")
-                    )
-                    break
-            else:
-                report.aborts += 1
-    return report
+    return run_case(COMPOSITION, seeds)
 
 
 def run_equivalence_suite(seed: int = 0, instances: int = 200) -> list[DiffReport]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import contextvars
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, Optional
 
 from .core import (
     Address,
@@ -177,6 +177,29 @@ class ContextView:
         """Record a (possibly simulated) mechanism reading for the trace.
         First read wins: replays and observation diffs see the original."""
         self.readings.setdefault(name, value)
+
+
+class DerivedView:
+    """A step view built over another: the given callables answer the
+    `first`, `count`, `queue` and `txmem` queries (called with no argument)
+    and take the `set_txmem`/`set_fail` writes; every other read falls
+    through to `base`. Over an engine view, a query against a mechanism the
+    engine really disables still reaches it and faults."""
+
+    QUERIES = frozenset({"first", "count", "queue", "txmem"})
+    MEMBERS = QUERIES | {"set_txmem", "set_fail"}
+
+    def __init__(self, base, **overrides: Callable):
+        if not self.MEMBERS.issuperset(overrides):
+            raise TypeError(f"cannot override {sorted(overrides.keys() - self.MEMBERS)}")
+        self._base = base
+        self._overrides = overrides
+
+    def __getattr__(self, name: str):
+        override = self._overrides.get(name)
+        if override is None:
+            return getattr(self._base, name)
+        return override() if name in self.QUERIES else override
 
 
 def fold_effects(ctx: Context, view: ContextView) -> Context:

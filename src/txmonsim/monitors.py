@@ -46,22 +46,6 @@ class MonitorHookSet:
         )
 
 
-def hooks_of(contract: ContractDef) -> MonitorHookSet:
-    return MonitorHookSet(
-        init=contract.init, begin=contract.begin, end=contract.end, term=contract.term
-    )
-
-
-def is_monitored(contract: ContractDef) -> bool:
-    return any(
-        h is not None for h in (contract.init, contract.begin, contract.end, contract.term)
-    )
-
-
-def strip_monitor(contract: ContractDef) -> ContractDef:
-    return replace(contract, init=None, begin=None, end=None, term=None)
-
-
 def identity_hooks() -> MonitorHookSet:
     """Begin/end that pass monitor storage through unchanged; useful for
     showing that inert operation monitors do not perturb execution."""

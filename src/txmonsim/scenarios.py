@@ -19,22 +19,12 @@ from .core import (
     Address,
     ChainState,
     Committed,
-    ContractFail,
-    FailBitSet,
-    GasExhausted,
-    HookupFail,
-    InsufficientBalance,
     Mechanism,
-    MonitorBeginFail,
-    MonitorEndFail,
-    MonitorInitFail,
     MonitorMode,
-    MonitorTermFail,
     Observation,
     Operation,
     Outcome,
     RecordKind,
-    RecurringEscape,
     Registry,
     ScenarioError,
     SchedulerKind,
@@ -207,7 +197,7 @@ def check_obs_equivalence(
             break  # both runs stopped invoking the subject: vacuous agreement
         if a is None or b is None:
             return EquivCheck(False, checked, Divergence(i + 1, "presence", a, b))
-        for f in ("method", "param", "money", "storage_before", "balance_seen", "readings"):
+        for f in Observation._VIEW_FIELDS:
             if getattr(a, f) != getattr(b, f):
                 return EquivCheck(
                     False, checked, Divergence(i + 1, f, getattr(a, f), getattr(b, f))
@@ -221,25 +211,8 @@ def check_obs_equivalence(
 
 
 def reason_kind(outcome: Outcome) -> str:
-    """Stable label of an outcome for claims and serialization."""
-    stub = getattr(outcome, "kind", None)
-    if isinstance(stub, str):
-        return stub
-    if isinstance(outcome, Committed):
-        return "committed"
-    reason = outcome.reason  # type: ignore[union-attr]
-    return {
-        ContractFail: "contract_fail",
-        InsufficientBalance: "insufficient_balance",
-        GasExhausted: "gas_exhausted",
-        MonitorInitFail: "monitor_init_fail",
-        MonitorBeginFail: "monitor_begin_fail",
-        MonitorEndFail: "monitor_end_fail",
-        MonitorTermFail: "monitor_term_fail",
-        HookupFail: "hookup_fail",
-        FailBitSet: "fail_bit_set",
-        RecurringEscape: "recurring_escape",
-    }[type(reason)]
+    """Stable label of an outcome for claims and serialization: its `kind`."""
+    return outcome.kind
 
 
 def op_label(op: Operation) -> str:
@@ -345,20 +318,18 @@ def verify_report(report: CounterexampleReport) -> list[str]:
                 f"invocation {cc.invocation_b} of {cc.trace_b} differ for {cc.subject}"
             )
     for vc in report.verdict_claims:
-        got = reason_kind(report.verdicts[vc.trace])
+        got = report.verdicts[vc.trace].kind
         if got != vc.expect:
             problems.append(f"{report.name}/{vc.trace}: verdict {got} != {vc.expect}")
     for hc in report.hookup_claims:
-        ha = [
-            (r.storage_before, r.balance_seen)
-            for r in report.traces[hc.trace_a].records
-            if r.kind is RecordKind.HOOKUP and r.subject == hc.subject
-        ]
-        hb = [
-            (r.storage_before, r.balance_seen)
-            for r in report.traces[hc.trace_b].records
-            if r.kind is RecordKind.HOOKUP and r.subject == hc.subject
-        ]
+        ha, hb = (
+            [
+                (r.storage_before, r.balance_seen)
+                for r in report.traces[name].records
+                if r.kind is RecordKind.HOOKUP and r.subject == hc.subject
+            ]
+            for name in (hc.trace_a, hc.trace_b)
+        )
         if not ha or ha != hb:
             problems.append(f"{report.name}: hookup inputs differ for {hc.subject}")
     return problems
@@ -936,7 +907,7 @@ def _flashloan_row(
     return FlashLoanRow(
         scenario=scenario,
         variant=variant_label,
-        outcome_kind=reason_kind(result.outcomes[0]),
+        outcome_kind=result.outcomes[0].kind,
         committed=committed,
         expected_commit=expected_commit,
         lender_balances_pre=pre,

@@ -1,5 +1,5 @@
 """JSON encodings for the command-line front end: values, operations, traces,
-scenario files, outcomes, and report bundles.
+outcomes and report bundles, and the decoding of scenario files.
 
 Value shorthand: null/bool/int/str/list map to the unit/bool/int/text/seq
 variants; objects are records. Amounts and addresses use the tagged escapes
@@ -9,24 +9,17 @@ variants; objects are records. Amounts and addresses use the tagged escapes
 from __future__ import annotations
 
 import json
-from typing import Any, Mapping
+from contextlib import contextmanager
+from dataclasses import MISSING, fields
+from typing import Any, Iterator, Mapping
 
 from .core import (
     Committed,
-    ContractFail,
-    FailBitSet,
-    HookupFail,
-    InsufficientBalance,
     Mechanism,
-    MonitorBeginFail,
-    MonitorEndFail,
-    MonitorInitFail,
     MonitorMode,
-    MonitorTermFail,
     Operation,
     Outcome,
     RecordKind,
-    RecurringEscape,
     ScenarioError,
     SchedulerKind,
     StepRecord,
@@ -56,8 +49,19 @@ from .scenarios import (
     ScenarioSpec,
     TxSpec,
     VerdictClaim,
-    reason_kind,
 )
+
+
+@contextmanager
+def _decoding(where: str) -> Iterator[None]:
+    """Report a malformed input as a ScenarioError that names where it is."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ScenarioError(f"{where}: missing field {exc}") from exc
+    except (ScenarioError, AttributeError, IndexError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"{where}: {exc}") from exc
+
 
 # ---------------------------------------------------------------------------
 # Values
@@ -223,20 +227,24 @@ def dump_traces(traces: list[Trace]) -> str:
 def load_traces(text: str) -> list[Trace]:
     metas: list[TraceMeta] = []
     records: list[list[StepRecord]] = []
-    for line in text.splitlines():
+    for number, line in enumerate(text.splitlines(), 1):
         line = line.strip()
         if not line:
             continue
-        obj = json.loads(line)
-        if "meta" in obj:
-            if obj["tx"] != len(metas):
-                raise ScenarioError("trace file transactions out of order")
-            metas.append(meta_from_json(obj["meta"]))
-            records.append([])
-        elif "record" in obj:
-            records[obj["tx"]].append(record_from_json(obj["record"]))
-        else:
-            raise ScenarioError(f"unrecognized trace line: {line[:80]}")
+        with _decoding(f"trace line {number}"):
+            obj = json.loads(line)
+            if "meta" in obj:
+                if obj["tx"] != len(metas):
+                    raise ScenarioError("trace file transactions out of order")
+                metas.append(meta_from_json(obj["meta"]))
+                records.append([])
+            elif "record" in obj:
+                tx = obj["tx"]
+                if not (isinstance(tx, int) and 0 <= tx < len(records)):
+                    raise ScenarioError(f"record of transaction {tx!r}, which has no meta line")
+                records[tx].append(record_from_json(obj["record"]))
+            else:
+                raise ScenarioError(f"unrecognized trace line: {line[:80]}")
     return [Trace(meta=m, records=tuple(rs)) for m, rs in zip(metas, records)]
 
 
@@ -245,21 +253,18 @@ def load_traces(text: str) -> list[Trace]:
 
 
 def outcome_to_json(o: Outcome) -> dict:
+    """The outcome's kind plus the abort reason's fields, or the final state
+    digest of a commit."""
     if isinstance(o, Committed):
-        return {"kind": "committed", "state_digest": digest(o.final)}
-    reason = o.reason  # type: ignore[union-attr]
-    out: dict = {"kind": reason_kind(o)}
-    if isinstance(reason, ContractFail):
-        out.update(addr=reason.addr, text=reason.text)
-    elif isinstance(reason, (InsufficientBalance, RecurringEscape)):
-        out.update(op=op_to_json(reason.op))
-    elif isinstance(reason, FailBitSet):
-        out.update(addrs=sorted(reason.addrs))
-    elif isinstance(
-        reason,
-        (MonitorInitFail, MonitorBeginFail, MonitorEndFail, MonitorTermFail, HookupFail),
-    ):
-        out.update(addr=reason.addr)
+        return {"kind": o.kind, "state_digest": digest(o.final)}
+    out: dict = {"kind": o.kind}
+    for f in fields(o.reason):  # type: ignore[union-attr]
+        v = getattr(o.reason, f.name)  # type: ignore[union-attr]
+        if isinstance(v, Operation):
+            v = op_to_json(v)
+        elif isinstance(v, frozenset):
+            v = sorted(v)
+        out[f.name] = v
     return out
 
 
@@ -276,17 +281,8 @@ def engine_config_from_json(obj: Mapping) -> EngineConfig:
     )
 
 
-def engine_config_to_json(cfg: EngineConfig) -> dict:
-    return {
-        "scheduler": cfg.scheduler.value,
-        "gas_limit": cfg.gas_limit,
-        "mechanisms": sorted(x.value for x in cfg.mechanisms),
-        "monitor_mode": cfg.monitor_mode.value,
-    }
-
-
 def scenario_from_json(obj: Mapping) -> ScenarioSpec:
-    try:
+    with _decoding("malformed scenario"):
         engine = engine_config_from_json(obj.get("engine", {}))
         contracts = tuple(
             ContractSpec(
@@ -316,137 +312,78 @@ def scenario_from_json(obj: Mapping) -> ScenarioSpec:
             )
             for t in obj.get("transactions", [])
         )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ScenarioError(f"malformed scenario: {exc}") from exc
     return ScenarioSpec(
         engine=engine, contracts=contracts, externals=externals, transactions=transactions
     )
-
-
-def scenario_to_json(spec: ScenarioSpec) -> dict:
-    return {
-        "engine": engine_config_to_json(spec.engine),
-        "contracts": [
-            {
-                "addr": c.addr,
-                "builtin": c.builtin,
-                "params": dict(c.params),
-                "balance": c.balance,
-                **({"storage": value_to_json(c.storage)} if c.storage is not None else {}),
-                **(
-                    {"monitor_storage": value_to_json(c.monitor_storage)}
-                    if c.monitor_storage is not None
-                    else {}
-                ),
-            }
-            for c in spec.contracts
-        ],
-        "externals": [{"addr": e.addr, "balance": e.balance} for e in spec.externals],
-        "transactions": [
-            {
-                "dest": t.dest,
-                "method": t.method,
-                "param": value_to_json(t.param),
-                "money": t.money,
-                **({"gas_limit": t.gas_limit} if t.gas_limit is not None else {}),
-                **({"src": t.src} if t.src is not None else {}),
-            }
-            for t in spec.transactions
-        ],
-    }
 
 
 # ---------------------------------------------------------------------------
 # Counter-example report bundles
 
 
+_CLAIM_LISTS = {
+    "obs_claims": ObsClaim,
+    "cross_obs_claims": CrossObsClaim,
+    "queue_claims": QueueClaim,
+    "verdict_claims": VerdictClaim,
+    "hookup_claims": HookupInputClaim,
+}
+
+
+def _lists(v: Any) -> Any:
+    return [_lists(x) for x in v] if isinstance(v, tuple) else v
+
+
+def _tuples(v: Any) -> Any:
+    return tuple(_tuples(x) for x in v) if isinstance(v, list) else v
+
+
+def _claim_from_json(cls, obj: Mapping):
+    """Rebuild a claim from its dataclass fields; arrays come back as tuples."""
+    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
+    if missing:
+        raise ScenarioError(f"{cls.__name__} lacks {', '.join(missing)}")
+    return cls(**{f.name: _tuples(obj[f.name]) for f in fields(cls) if f.name in obj})
+
+
 def report_to_json(r: CounterexampleReport) -> dict:
-    return {
+    out = {
         "name": r.name,
         "conclusion": r.conclusion,
         "traces": {k: trace_to_json(t) for k, t in r.traces.items()},
         "verdicts": {k: outcome_to_json(o) for k, o in r.verdicts.items()},
-        "obs_claims": [
-            {
-                "trace_a": c.trace_a,
-                "trace_b": c.trace_b,
-                "subject": c.subject,
-                "upto": c.upto,
-                "expect_equal": c.expect_equal,
-                "note": c.note,
-            }
-            for c in r.obs_claims
-        ],
-        "cross_obs_claims": [
-            {
-                "trace_a": c.trace_a,
-                "invocation_a": c.invocation_a,
-                "trace_b": c.trace_b,
-                "invocation_b": c.invocation_b,
-                "subject": c.subject,
-                "note": c.note,
-            }
-            for c in r.cross_obs_claims
-        ],
-        "queue_claims": [
-            {"trace": c.trace, "shapes": [list(s) for s in c.shapes], "note": c.note}
-            for c in r.queue_claims
-        ],
-        "verdict_claims": [
-            {"trace": c.trace, "expect": c.expect, "note": c.note} for c in r.verdict_claims
-        ],
-        "hookup_claims": [
-            {"trace_a": c.trace_a, "trace_b": c.trace_b, "subject": c.subject, "note": c.note}
-            for c in r.hookup_claims
-        ],
     }
+    for key in _CLAIM_LISTS:
+        claims = getattr(r, key)
+        out[key] = [{f.name: _lists(getattr(c, f.name)) for f in fields(c)} for c in claims]
+    return out
 
 
 def report_from_json(obj: Mapping) -> CounterexampleReport:
-    traces = {k: trace_from_json(t) for k, t in obj["traces"].items()}
-    # Verdicts round-trip as their serialized kinds; claims compare kinds only.
-    return CounterexampleReport(
-        name=obj["name"],
-        traces=traces,
-        verdicts={k: _outcome_stub(v) for k, v in obj["verdicts"].items()},
-        obs_claims=tuple(
-            ObsClaim(
-                c["trace_a"], c["trace_b"], c["subject"], c["upto"], c["expect_equal"],
-                c.get("note", ""),
-            )
-            for c in obj.get("obs_claims", [])
-        ),
-        cross_obs_claims=tuple(
-            CrossObsClaim(
-                c["trace_a"], c["invocation_a"], c["trace_b"], c["invocation_b"],
-                c["subject"], c.get("note", ""),
-            )
-            for c in obj.get("cross_obs_claims", [])
-        ),
-        queue_claims=tuple(
-            QueueClaim(c["trace"], tuple(tuple(s) for s in c["shapes"]), c.get("note", ""))
-            for c in obj.get("queue_claims", [])
-        ),
-        verdict_claims=tuple(
-            VerdictClaim(c["trace"], c["expect"], c.get("note", ""))
-            for c in obj.get("verdict_claims", [])
-        ),
-        hookup_claims=tuple(
-            HookupInputClaim(c["trace_a"], c["trace_b"], c["subject"], c.get("note", ""))
-            for c in obj.get("hookup_claims", [])
-        ),
-        conclusion=obj.get("conclusion", ""),
-    )
+    """Rebuild a report bundle. Verdicts come back as their serialized kinds
+    only, which is all the claims compare."""
+    with _decoding("malformed report"):
+        traces = {}
+        for k, t in obj["traces"].items():
+            with _decoding(f"trace {k!r}"):
+                traces[k] = trace_from_json(t)
+        claims = {
+            key: tuple(_claim_from_json(cls, c) for c in obj.get(key, []))
+            for key, cls in _CLAIM_LISTS.items()
+        }
+        return CounterexampleReport(
+            name=obj["name"],
+            traces=traces,
+            verdicts={k: _ReadVerdict(v["kind"]) for k, v in obj["verdicts"].items()},
+            conclusion=obj.get("conclusion", ""),
+            **claims,
+        )
 
 
-class _OutcomeStub(Outcome):
-    """Deserialized verdict: carries only the outcome kind for claim checks."""
+class _ReadVerdict(Outcome):
+    """A verdict read back from a report bundle: its kind and nothing else."""
 
     __slots__ = ("kind",)
 
     def __init__(self, kind: str):
         self.kind = kind
-
-
-def _outcome_stub(obj: Mapping) -> Outcome:
-    return _OutcomeStub(obj["kind"])

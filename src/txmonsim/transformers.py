@@ -17,7 +17,7 @@ transfer has run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable
 
 from .core import (
     Address,
@@ -39,6 +39,7 @@ from .core import (
     as_int,
     as_rec,
 )
+from .mechanisms import DerivedView
 
 FAIL_POLL = "__fail_poll"
 USTORE_POLL = "__ustore_poll"
@@ -52,86 +53,8 @@ class TransformRefused(ScenarioError):
 @dataclass(frozen=True)
 class TransformedContract:
     wrapped: ContractDef
-    extra_storage_schema: str
     project: Callable[[Value], Value]
     wrap_storage: Callable[..., Value]
-
-
-class SimulatedView:
-    """Pass-through view that overrides selected mechanism queries with
-    simulated answers. Everything not overridden reaches the engine view, so
-    a query against a genuinely disabled mechanism still faults."""
-
-    def __init__(
-        self,
-        inner,
-        first: Optional[Callable[[], bool]] = None,
-        count: Optional[Callable[[], int]] = None,
-        txmem_get: Optional[Callable[[], Value]] = None,
-        txmem_set: Optional[Callable[[Value], None]] = None,
-        set_fail: Optional[Callable[[bool], None]] = None,
-    ):
-        self._inner = inner
-        self._first = first
-        self._count = count
-        self._txmem_get = txmem_get
-        self._txmem_set = txmem_set
-        self._set_fail = set_fail
-
-    @property
-    def first(self) -> bool:
-        return self._first() if self._first is not None else self._inner.first
-
-    @property
-    def count(self) -> int:
-        return self._count() if self._count is not None else self._inner.count
-
-    @property
-    def queue(self) -> bool:
-        return self._inner.queue
-
-    @property
-    def txmem(self) -> Value:
-        return self._txmem_get() if self._txmem_get is not None else self._inner.txmem
-
-    def set_txmem(self, value: Value) -> None:
-        if self._txmem_set is not None:
-            self._txmem_set(value)
-        else:
-            self._inner.set_txmem(value)
-
-    def set_fail(self, value: bool) -> None:
-        if self._set_fail is not None:
-            self._set_fail(bool(value))
-        else:
-            self._inner.set_fail(value)
-
-    def note_reading(self, name: str, value: Value) -> None:
-        self._inner.note_reading(name, value)
-
-    @property
-    def self_addr(self) -> Address:
-        return self._inner.self_addr
-
-    @property
-    def balance(self) -> int:
-        return self._inner.balance
-
-    @property
-    def storage(self) -> Value:
-        return self._inner.storage
-
-    @property
-    def tx_money(self) -> int:
-        return self._inner.tx_money
-
-    @property
-    def block_level(self) -> int:
-        return self._inner.block_level
-
-    @property
-    def timestamp(self) -> int:
-        return self._inner.timestamp
 
 
 def _require_uses(c: ContractDef, allowed: frozenset[Mechanism], name: str) -> None:
@@ -176,7 +99,7 @@ def sim_count_via_first(c: ContractDef) -> TransformedContract:
             return n
 
         res = c.step(
-            SimulatedView(view, count=count_query), method, param, money, s.get("base"), balance
+            DerivedView(view, count=count_query), method, param, money, s.get("base"), balance
         )
         if not isinstance(res, StepOk):
             return res
@@ -189,7 +112,6 @@ def sim_count_via_first(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema="sim_count: running per-transaction invocation counter",
         project=_project_field("base"),
         wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "sim_count": VInt(0)}),
     )
@@ -205,12 +127,11 @@ def sim_first_via_count(c: ContractDef) -> TransformedContract:
             view.note_reading("first", VBool(value))
             return value
 
-        return c.step(SimulatedView(view, first=first_query), method, param, money, storage, balance)
+        return c.step(DerivedView(view, first=first_query), method, param, money, storage, balance)
 
     wrapped = replace(c, step=step, mechanism_uses=frozenset({Mechanism.COUNT}))
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema="",
         project=lambda s: s,
         wrap_storage=lambda s, ms=UNIT: s,
     )
@@ -227,7 +148,7 @@ def sim_first_via_txmem(c: ContractDef) -> TransformedContract:
             view.note_reading("first", VBool(value))
             return value
 
-        res = c.step(SimulatedView(view, first=first_query), method, param, money, storage, balance)
+        res = c.step(DerivedView(view, first=first_query), method, param, money, storage, balance)
         if isinstance(res, StepOk):
             view.set_txmem(VBool(False))
         return res
@@ -240,7 +161,6 @@ def sim_first_via_txmem(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema="volatile bool: true until the first method ends",
         project=lambda s: s,
         wrap_storage=lambda s, ms=UNIT: s,
     )
@@ -264,7 +184,7 @@ def sim_txmem_via_first(c: ContractDef) -> TransformedContract:
             return buf[0]
 
         res = c.step(
-            SimulatedView(view, txmem_get=txmem_get, txmem_set=lambda v: buf.__setitem__(0, v)),
+            DerivedView(view, txmem=txmem_get, set_txmem=lambda v: buf.__setitem__(0, v)),
             method, param, money, base, balance,
         )
         if not isinstance(res, StepOk):
@@ -276,7 +196,6 @@ def sim_txmem_via_first(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema="sim_txmem: persisted copy of the volatile segment",
         project=_project_field("base"),
         wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "sim_txmem": UNIT}),
     )
@@ -307,7 +226,6 @@ def sim_bstore_via_first(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema="s_hookup: hookup result pending adoption",
         project=_project_field("s_hookup"),
         wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "s_hookup": s}),
     )
@@ -327,7 +245,7 @@ def sim_first_via_bstore(c: ContractDef) -> TransformedContract:
             return flag
 
         res = c.step(
-            SimulatedView(view, first=first_query), method, param, money, s.get("base"), balance
+            DerivedView(view, first=first_query), method, param, money, s.get("base"), balance
         )
         if not isinstance(res, StepOk):
             return res
@@ -341,7 +259,6 @@ def sim_first_via_bstore(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema="b_fst: true only until the first call of a transaction",
         project=_project_field("base"),
         wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "b_fst": VBool(True)}),
     )
@@ -360,7 +277,7 @@ def sim_fail_via_ustore(c: ContractDef) -> TransformedContract:
         s = as_rec(storage)
         bit = [as_bool(s.get("fl"))]
         res = c.step(
-            SimulatedView(view, set_fail=lambda v: bit.__setitem__(0, bool(v))),
+            DerivedView(view, set_fail=lambda v: bit.__setitem__(0, bool(v))),
             method, param, money, s.get("base"), balance,
         )
         if not isinstance(res, StepOk):
@@ -377,7 +294,6 @@ def sim_fail_via_ustore(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema="fl: mirrored fail bit, false whenever committed",
         project=_project_field("base"),
         wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "fl": VBool(False)}),
     )
@@ -394,7 +310,7 @@ def monitor_via_first_fail(c: ContractDef) -> TransformedContract:
     not yet executed transfers, recording the verdict in the fail bit. The
     last evaluation in the transaction is the one that counts.
     """
-    if not any(h is not None for h in (c.init, c.begin, c.end, c.term)):
+    if not c.monitored:
         raise TransformRefused("monitor_via_first_fail needs a monitored contract")
     if Mechanism.FAIL in c.mechanism_uses:
         raise TransformRefused("contract already owns its fail bit")
@@ -452,10 +368,6 @@ def monitor_via_first_fail(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema=(
-            "mon: inlined monitor storage; bal0/recv/sent: pending-transfer "
-            "balance adjustment"
-        ),
         project=_project_field("base"),
         wrap_storage=lambda s, ms=UNIT: VRec(
             {"base": s, "mon": ms, "bal0": VAmt(0), "recv": VAmt(0), "sent": VAmt(0)}
@@ -486,7 +398,7 @@ def sim_fail_via_recurring_bfs(c: ContractDef) -> TransformedContract:
             return StepOk(s.set("poll", VBool(False)))
         bit = [as_bool(s.get("fl"))]
         res = c.step(
-            SimulatedView(view, set_fail=lambda v: bit.__setitem__(0, bool(v))),
+            DerivedView(view, set_fail=lambda v: bit.__setitem__(0, bool(v))),
             method, param, money, s.get("base"), balance,
         )
         if not isinstance(res, StepOk):
@@ -509,7 +421,6 @@ def sim_fail_via_recurring_bfs(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema="fl: mirrored fail bit; poll: a recurring poll is queued",
         project=_project_field("base"),
         wrap_storage=lambda s, ms=UNIT: VRec(
             {"base": s, "fl": VBool(False), "poll": VBool(False)}
@@ -530,6 +441,11 @@ def sim_ustore_via_first_bfs(c: ContractDef) -> TransformedContract:
     hook = c.ustore_hook
 
     def evaluate(live: Value, adjusted: int):
+        # A negative adjusted balance means emitted transfers overdraw the
+        # contract: the overdrawing transfer aborts the transaction, or a
+        # later receipt lets a later evaluation pass. This one does not.
+        if adjusted < 0:
+            return None, False
         try:
             return hook(live, adjusted), True
         except ContractError:
@@ -591,10 +507,6 @@ def sim_ustore_via_first_bfs(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema=(
-            "shadow: preventively hooked storage flushed on the next first; "
-            "bal0/recv/sent: balance adjustment; poll: failing-hookup poll queued"
-        ),
         project=_project_field("shadow"),
         wrap_storage=lambda s, ms=UNIT: VRec(
             {
@@ -645,7 +557,6 @@ def sim_ustore_via_queue_bfs(c: ContractDef) -> TransformedContract:
     )
     return TransformedContract(
         wrapped=wrapped,
-        extra_storage_schema="check: the recurring end-of-queue check is pending",
         project=_project_field("base"),
         wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "check": VBool(False)}),
     )

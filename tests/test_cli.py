@@ -225,3 +225,50 @@ def test_shipped_scenario_fixtures(runner, fixture, exit_code, expect):
     result = runner.invoke(main, ["run", str(FIXTURES / fixture)])
     assert result.exit_code == exit_code, result.output
     assert expect in result.output
+
+
+def _trace_lines():
+    return [json.loads(line) for line in dump_traces([run_dfs_only_once().traces["o2"]]).splitlines()]
+
+
+def _record_of_unknown_tx():
+    lines = _trace_lines()
+    lines[1]["tx"] = 5
+    return "diff", "\n".join(json.dumps(line) for line in lines), "trace line 2"
+
+
+def _meta_without_monitor_mode():
+    lines = _trace_lines()
+    del lines[0]["meta"]["monitor_mode"]
+    return "diff", "\n".join(json.dumps(line) for line in lines), "'monitor_mode'"
+
+
+def _report_with_unknown_scheduler():
+    bundle = report_to_json(run_dfs_only_once())
+    bundle["traces"]["o1"]["meta"]["scheduler"] = "lifo"
+    return "explain", json.dumps(bundle), "'lifo'"
+
+
+def _claim_without_required_field():
+    bundle = report_to_json(run_dfs_only_once())
+    del bundle["obs_claims"][0]["subject"]
+    return "explain", json.dumps(bundle), "ObsClaim lacks subject"
+
+
+@pytest.mark.parametrize(
+    "malformed",
+    [
+        _record_of_unknown_tx,
+        _meta_without_monitor_mode,
+        _report_with_unknown_scheduler,
+        _claim_without_required_field,
+    ],
+)
+def test_malformed_trace_and_report_files_exit_two(runner, tmp_path, malformed):
+    command, text, named = malformed()
+    path = tmp_path / "malformed.json"
+    path.write_text(text)
+    args = [command, str(path)] + ([str(path)] if command == "diff" else [])
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2, result.output
+    assert named in result.output

@@ -10,6 +10,7 @@ from txmonsim.core import (
     Aborted,
     Account,
     ChainState,
+    ContractDef,
     ContractFail,
     GasExhausted,
     HookupFail,
@@ -17,6 +18,8 @@ from txmonsim.core import (
     MonitorMode,
     Operation,
     SchedulerKind,
+    StepOk,
+    UNIT,
     VAmt,
     VBool,
     VInt,
@@ -434,3 +437,25 @@ def test_differential_equivalence_sampled(name):
 def test_composition_round_trip_is_observational_identity():
     report = run_composition(range(0, 40))
     assert report.ok, report.failures[:3]
+
+
+@pytest.mark.parametrize("seed", [1000029, 1000060])
+def test_ustore_via_first_bfs_with_overdrawn_adjusted_balance(seed):
+    # The subject emits transfers worth more than it holds, so the balance
+    # adjusted for pending transfers is negative when the hookup is evaluated.
+    report = run_case(CASES["ustore_via_first_bfs"], range(seed, seed + 1))
+    assert report.ok, report.failures[:3]
+    assert report.aborts >= 1
+
+
+def test_unsimulated_query_still_reaches_the_engine_and_faults():
+    def step(view, method, param, money, storage, balance):
+        view.count  # simulated by the wrapper
+        view.queue  # not simulated, and disabled on the engine
+        return StepOk(storage)
+
+    t = sim_count_via_first(ContractDef(step=step, mechanism_uses=frozenset({Mechanism.COUNT})))
+    op = Operation(dest=T, src=EXT, method="m")
+    res, _ = run_tx(t.wrapped, t.wrap_storage(UNIT), {Mechanism.FIRST}, op)
+    assert isinstance(res.outcome, Aborted)
+    assert "mechanism 'queue' disabled" in res.outcome.reason.text
