@@ -46,7 +46,7 @@ from .core import (
     Value,
     digest,
 )
-from .engine import Engine, EngineConfig, TxResult, charge_gas, run_transaction
+from .engine import Engine, EngineConfig, TxResult, charge_gas
 from .monitors import MonitorHookSet, run_monitored_transaction
 from .scenarios import (
     CounterexampleReport,

@@ -329,7 +329,9 @@ class ChainState:
         return self._accounts.items()
 
 
-@lru_cache(maxsize=None)
+# Bounded so a long-lived process does not keep every value it ever hashed;
+# the bound is well above the distinct values one suite run hashes.
+@lru_cache(maxsize=2**14)
 def _value_blob(v: Value) -> str:
     return json.dumps(canon(v), separators=(",", ":"))
 
@@ -364,24 +366,27 @@ def storage_digest(state: ChainState) -> str:
 class Context:
     """Block metadata plus transaction-scoped bookkeeping.
 
-    visited/counts/fail_bits/txmem start empty in every transaction;
+    counts/fail_bits/txmem start empty in every transaction;
     gas_remaining only ever decreases within one.
     """
 
     block_level: int = 0
     timestamp: int = 0
     gas_remaining: int = 0
-    visited: tuple[Address, ...] = ()
     counts: Mapping[Address, int] = field(default_factory=dict)
     fail_bits: Mapping[Address, bool] = field(default_factory=dict)
     txmem: Mapping[Address, Value] = field(default_factory=dict)
     tx_money: int = 0
 
+    @property
+    def visited(self) -> tuple[Address, ...]:
+        """Visited addresses in first-visit order (dicts keep insertion order)."""
+        return tuple(self.counts)
+
     def visit(self, addr: Address) -> "Context":
         counts = dict(self.counts)
         counts[addr] = counts.get(addr, 0) + 1
-        visited = self.visited if addr in self.visited else self.visited + (addr,)
-        return replace(self, visited=visited, counts=counts)
+        return replace(self, counts=counts)
 
     def count_of(self, addr: Address) -> int:
         return self.counts.get(addr, 0)

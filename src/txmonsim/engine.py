@@ -171,59 +171,33 @@ class Engine:
     ) -> Union[AbortReason, RunningTx]:
         cfg = self.config
         state, ctx = tx.state, tx.ctx
-        op, rest = tx.queue[0], tx.queue[1:]
+        queue = tx.queue
+        op, rest = queue[0], queue[1:]
         contract = self.registry.get(op.dest)
         if contract is None:
             return ContractFail(op.dest, "no contract installed at destination")
-        full_queue = (op,) + rest
 
         if (
             cfg.monitor_mode is MonitorMode.TRANSACTION
-            and op.dest not in ctx.visited
+            and op.dest not in ctx.counts
             and contract.monitored
         ):
-            acct = state.get(op.dest)
             if contract.init is not None:
+                acct = state.get(op.dest)
                 try:
                     new_ms = contract.init(acct.storage, acct.balance, acct.monitor_storage)
                 except ContractError:
                     return MonitorInitFail(op.dest)
                 state = state.with_monitor_storage(op.dest, new_ms)
-            self._record(
-                records,
-                RecordKind.INIT,
-                op.dest,
-                state,
-                ctx.gas_remaining,
-                ctx.gas_remaining,
-                full_queue,
-                full_queue,
-                storage_before=acct.storage,
-                storage_after=acct.storage,
-                balance_seen=acct.balance,
-            )
+            self._hook_record(records, RecordKind.INIT, op.dest, state, ctx.gas_remaining, queue)
 
         if cfg.monitor_mode is not MonitorMode.NONE and contract.begin is not None:
-            acct = state.get(op.dest)
             try:
-                new_ms = contract.begin(op.method, op.param, op.money, acct.monitor_storage)
+                new_ms = contract.begin(op.method, op.param, op.money, state.monitor_storage(op.dest))
             except ContractError:
                 return MonitorBeginFail(op.dest)
             state = state.with_monitor_storage(op.dest, new_ms)
-            self._record(
-                records,
-                RecordKind.BEGIN,
-                op.dest,
-                state,
-                ctx.gas_remaining,
-                ctx.gas_remaining,
-                full_queue,
-                full_queue,
-                executed=op,
-                storage_before=acct.storage,
-                storage_after=acct.storage,
-                balance_seen=acct.balance,
-            )
+            self._hook_record(records, RecordKind.BEGIN, op.dest, state, ctx.gas_remaining, queue, op)
 
         gas_before = ctx.gas_remaining
         charged = charge_gas(ctx, OP_COST)
@@ -239,7 +213,7 @@ class Engine:
             return ContractFail(op.dest, str(exc))
         acct = state.get(op.dest)
 
-        view = self._make_view(ctx, op, contract, rest, acct.balance, acct.storage)
+        view = self._make_view(ctx, op, contract, rest, acct.storage)
         try:
             result = contract.step(view, op.method, op.param, op.money, acct.storage, acct.balance)
             if self.debug:
@@ -251,16 +225,16 @@ class Engine:
         if not isinstance(result, StepOk):
             raise ScenarioError(f"step at {op.dest} returned {result!r}")
 
-        emitted: list[Operation] = []
-        for raw in result.emitted:
-            e = replace(raw, src=op.dest)
+        # From a list, not a generator: tuple() then allocates once instead of
+        # growing and shrinking, which measured about 6% slower on wide_state.
+        emitted = tuple([replace(raw, src=op.dest) for raw in result.emitted])
+        for e in emitted:
             if e.recurring and (
                 e.dest != op.dest
                 or e.money != 0
                 or e.method not in contract.recurring_methods
             ):
                 return RecurringEscape(e)
-            emitted.append(e)
 
         charged = charge_gas(ctx, EMIT_COST * len(emitted))
         if charged is None:
@@ -269,9 +243,9 @@ class Engine:
 
         state = state.with_storage(op.dest, result.new_storage)
         if cfg.scheduler is SchedulerKind.DFS:
-            new_queue = tuple(emitted) + rest
+            new_queue = emitted + rest
         else:
-            new_queue = rest + tuple(emitted)
+            new_queue = rest + emitted
 
         self._record(
             records,
@@ -280,10 +254,10 @@ class Engine:
             state,
             gas_before,
             ctx.gas_remaining,
-            full_queue,
+            queue,
             new_queue,
             executed=op,
-            emitted=tuple(emitted),
+            emitted=emitted,
             storage_before=acct.storage,
             storage_after=result.new_storage,
             balance_seen=acct.balance,
@@ -291,30 +265,12 @@ class Engine:
         )
 
         if cfg.monitor_mode is not MonitorMode.NONE and contract.end is not None:
-            ms = state.monitor_storage(op.dest)
             try:
-                new_ms = contract.end(tuple(emitted), result.new_storage, ms)
+                new_ms = contract.end(emitted, result.new_storage, state.monitor_storage(op.dest))
             except ContractError:
                 return MonitorEndFail(op.dest)
             state = state.with_monitor_storage(op.dest, new_ms)
-            self._record(
-                records,
-                RecordKind.END,
-                op.dest,
-                state,
-                ctx.gas_remaining,
-                ctx.gas_remaining,
-                new_queue,
-                new_queue,
-                executed=op,
-                storage_before=result.new_storage,
-                storage_after=result.new_storage,
-                balance_seen=state.balance(op.dest),
-            )
-
-        if self.debug:
-            for a, n in ctx.counts.items():
-                assert (n >= 1) == (a in ctx.visited), "visited/count drift"
+            self._hook_record(records, RecordKind.END, op.dest, state, ctx.gas_remaining, new_queue, op)
 
         return RunningTx(state=state, ctx=ctx, queue=new_queue)
 
@@ -343,12 +299,7 @@ class Engine:
             if bad:
                 for addr in ctx.visited:
                     if addr in bad:
-                        acct = state.get(addr)
-                        self._record(
-                            records, RecordKind.FAIL_BIT_CHECK, addr, state, gas, gas,
-                            (), (), storage_before=acct.storage,
-                            storage_after=acct.storage, balance_seen=acct.balance,
-                        )
+                        self._hook_record(records, RecordKind.FAIL_BIT_CHECK, addr, state, gas, ())
                 return state, FailBitSet(bad)
 
         if cfg.monitor_mode is MonitorMode.TRANSACTION:
@@ -362,11 +313,7 @@ class Engine:
                         contract.term(acct.storage, acct.balance, acct.monitor_storage)
                     except ContractError:
                         return state, MonitorTermFail(addr)
-                self._record(
-                    records, RecordKind.TERM, addr, state, gas, gas, (), (),
-                    storage_before=acct.storage, storage_after=acct.storage,
-                    balance_seen=acct.balance,
-                )
+                self._hook_record(records, RecordKind.TERM, addr, state, gas, ())
 
         return state, None
 
@@ -378,7 +325,6 @@ class Engine:
         op: Operation,
         contract: ContractDef,
         pending: tuple[Operation, ...],
-        balance: int,
         storage: Value,
     ) -> ContextView:
         return ContextView(
@@ -387,13 +333,12 @@ class Engine:
             contract=contract,
             enabled=self.config.mechanisms,
             pending=pending,
-            balance=balance,
             storage=storage,
         )
 
     def _audit_purity(self, ctx, op, contract, pending, balance, storage, view, result):
         """Evaluate the step a second time and demand identical behaviour."""
-        view2 = self._make_view(ctx, op, contract, pending, balance, storage)
+        view2 = self._make_view(ctx, op, contract, pending, storage)
         result2 = contract.step(view2, op.method, op.param, op.money, storage, balance)
         same = (
             result == result2
@@ -415,6 +360,25 @@ class Engine:
             )
         if external.recurring:
             raise ScenarioError("external operations cannot be recurring")
+
+    def _hook_record(
+        self,
+        records: list[StepRecord],
+        kind: RecordKind,
+        addr: Address,
+        state: ChainState,
+        gas: int,
+        queue: tuple[Operation, ...],
+        executed: Optional[Operation] = None,
+    ) -> None:
+        """Record a hook step at `addr`: gas, the queue and the subject's
+        storage are unchanged across it."""
+        acct = state.get(addr)
+        self._record(
+            records, kind, addr, state, gas, gas, queue, queue, executed=executed,
+            storage_before=acct.storage, storage_after=acct.storage,
+            balance_seen=acct.balance,
+        )
 
     def _record(
         self,
@@ -454,16 +418,6 @@ class Engine:
         )
 
 
-def run_transaction(
-    registry: Registry,
-    state: ChainState,
-    config: EngineConfig,
-    external: Operation,
-    **kwargs,
-) -> TxResult:
-    return Engine(registry, config).run_transaction(state, external, **kwargs)
-
-
 def replay_step(
     registry: Registry, meta: TraceMeta, record: StepRecord
 ) -> tuple[Value, tuple[Operation, ...]]:
@@ -481,7 +435,6 @@ def replay_step(
 
     inputs = SimpleNamespace(
         self_addr=record.subject,
-        balance=record.balance_seen,
         storage=record.storage_before,
         block_level=meta.block_level,
         timestamp=meta.timestamp,

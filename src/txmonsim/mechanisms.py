@@ -89,13 +89,11 @@ class ContextView:
     contract: ContractDef
     enabled: frozenset[Mechanism]
     pending: tuple
-    balance: int
     storage: Value
 
     readings: dict[str, Value] = field(default_factory=dict)
     fail_write: Optional[bool] = None
     txmem_value: Optional[Value] = None
-    txmem_touched: bool = False
 
     # -- block / transaction metadata --------------------------------------
 
@@ -153,7 +151,7 @@ class ContextView:
     @property
     def txmem(self) -> Value:
         self._require(Mechanism.TXMEM)
-        if not self.txmem_touched:
+        if self.txmem_value is None:
             current = self.ctx.txmem.get(self.self_addr)
             if current is None:
                 if self.contract.txmem_init is None:
@@ -162,14 +160,12 @@ class ContextView:
                     )
                 current = self.contract.txmem_init(self.storage)
             self.txmem_value = current
-            self.txmem_touched = True
         self.note_reading("txmem_in", self.txmem_value)
         return self.txmem_value  # type: ignore[return-value]
 
     def set_txmem(self, value: Value) -> None:
         self._require(Mechanism.TXMEM)
         self.txmem_value = value
-        self.txmem_touched = True
 
     # -- bookkeeping -----------------------------------------------------------
 
@@ -204,7 +200,7 @@ class DerivedView:
 
 def fold_effects(ctx: Context, view: ContextView) -> Context:
     """Apply a successful step's buffered mechanism effects to the context."""
-    if view.txmem_touched and view.txmem_value is not None:
+    if view.txmem_value is not None:
         ctx = ctx.with_txmem(view.self_addr, view.txmem_value)
     if view.fail_write is not None:
         ctx = ctx.with_fail_bit(view.self_addr, view.fail_write)

@@ -358,15 +358,40 @@ def _single_tx(
     dest: Address,
     method: str,
     param: Value,
-    gas: Optional[int] = None,
-) -> ScenarioResult:
+) -> TxResult:
     spec = ScenarioSpec(
         engine=engine,
         contracts=tuple(contracts),
         externals=(ExternalSpec(EXT, 0),),
-        transactions=(TxSpec(dest=dest, method=method, param=param, gas_limit=gas),),
+        transactions=(TxSpec(dest=dest, method=method, param=param),),
     )
-    return run_scenario(spec, debug=True)
+    return run_scenario(spec, debug=True).results[0]
+
+
+def _runs(results: Mapping[str, TxResult]) -> dict:
+    """A report's `traces` and `verdicts`, keyed by run label."""
+    return {
+        "traces": {label: r.trace for label, r in results.items()},
+        "verdicts": {label: r.outcome for label, r in results.items()},
+    }
+
+
+def _probe_runs(
+    plain_engine: EngineConfig,
+    plain: Sequence[ContractSpec],
+    probe_engine: EngineConfig,
+    probing: Sequence[ContractSpec],
+) -> dict:
+    """B forwards to A with a third-party call to C pending (busy) or not
+    (quiet), once to the plain contracts and once to the probing ones."""
+    busy = _forward_plan(callspec(A), callspec(C))
+    quiet = _forward_plan(callspec(A))
+    return _runs({
+        "busy_plain": _single_tx(plain_engine, plain, B, "run", busy),
+        "quiet_plain": _single_tx(plain_engine, plain, B, "run", quiet),
+        "busy_probed": _single_tx(probe_engine, probing, B, "run", busy),
+        "quiet_probed": _single_tx(probe_engine, probing, B, "run", quiet),
+    })
 
 
 def run_dfs_only_once() -> CounterexampleReport:
@@ -387,12 +412,12 @@ def run_dfs_only_once() -> CounterexampleReport:
     ]
     one = _forward_plan(callspec(A), callspec(C))
     two = _forward_plan(callspec(A), callspec(A), callspec(C))
-    r1 = _single_tx(engine, contracts, B, "run", one)
-    r2 = _single_tx(engine, contracts, B, "run", two)
     report = CounterexampleReport(
         name="dfs_only_once",
-        traces={"o1": r1.traces[0], "o2": r2.traces[0]},
-        verdicts={"o1": r1.outcomes[0], "o2": r2.outcomes[0]},
+        **_runs({
+            "o1": _single_tx(engine, contracts, B, "run", one),
+            "o2": _single_tx(engine, contracts, B, "run", two),
+        }),
         queue_claims=(
             QueueClaim("o1", (("A.ping", "C.ping"),), "one call to A, then C"),
             QueueClaim("o2", (("A.ping", "A.ping", "C.ping"),), "two calls to A, then C"),
@@ -442,26 +467,9 @@ def run_dfs_no_queue() -> CounterexampleReport:
         ContractSpec(B, "forwarder_B"),
         ContractSpec(C, "sink_C"),
     ]
-    busy = _forward_plan(callspec(A), callspec(C))
-    quiet = _forward_plan(callspec(A))
-    p1 = _single_tx(plain_engine, plain, B, "run", busy)
-    p2 = _single_tx(plain_engine, plain, B, "run", quiet)
-    q1 = _single_tx(probe_engine, probing, B, "run", busy)
-    q2 = _single_tx(probe_engine, probing, B, "run", quiet)
     report = CounterexampleReport(
         name="dfs_no_queue",
-        traces={
-            "busy_plain": p1.traces[0],
-            "quiet_plain": p2.traces[0],
-            "busy_probed": q1.traces[0],
-            "quiet_probed": q2.traces[0],
-        },
-        verdicts={
-            "busy_plain": p1.outcomes[0],
-            "quiet_plain": p2.outcomes[0],
-            "busy_probed": q1.outcomes[0],
-            "quiet_probed": q2.outcomes[0],
-        },
+        **_probe_runs(plain_engine, plain, probe_engine, probing),
         queue_claims=(
             QueueClaim("busy_plain", (("A.ping", "C.ping"),)),
             QueueClaim("quiet_plain", (("A.ping",),)),
@@ -513,10 +521,6 @@ def run_dfs_fail_queue() -> CounterexampleReport:
     def plan(calls: int) -> Value:
         return _forward_plan(*([callspec(A)] * calls), callspec(C))
 
-    o1 = _single_tx(engine, contracts, B, "run", plan(1))
-    o2 = _single_tx(engine, contracts, B, "run", plan(2))
-    o3 = _single_tx(engine, contracts, B, "run", plan(3))
-    o3_native = _single_tx(native_engine, native_contracts, B, "run", plan(3))
     seq_spec = ScenarioSpec(
         engine=engine,
         contracts=tuple(contracts),
@@ -526,25 +530,17 @@ def run_dfs_fail_queue() -> CounterexampleReport:
             TxSpec(dest=B, method="run", param=plan(1)),
         ),
     )
-    seq = run_scenario(seq_spec, debug=True)
+    seq = run_scenario(seq_spec, debug=True).results
     report = CounterexampleReport(
         name="dfs_fail_queue",
-        traces={
-            "o1": o1.traces[0],
-            "o2": o2.traces[0],
-            "o3": o3.traces[0],
-            "o3_native": o3_native.traces[0],
-            "seq_o2": seq.traces[0],
-            "seq_o1": seq.traces[1],
-        },
-        verdicts={
-            "o1": o1.outcomes[0],
-            "o2": o2.outcomes[0],
-            "o3": o3.outcomes[0],
-            "o3_native": o3_native.outcomes[0],
-            "seq_o2": seq.outcomes[0],
-            "seq_o1": seq.outcomes[1],
-        },
+        **_runs({
+            "o1": _single_tx(engine, contracts, B, "run", plan(1)),
+            "o2": _single_tx(engine, contracts, B, "run", plan(2)),
+            "o3": _single_tx(engine, contracts, B, "run", plan(3)),
+            "o3_native": _single_tx(native_engine, native_contracts, B, "run", plan(3)),
+            "seq_o2": seq[0],
+            "seq_o1": seq[1],
+        }),
         obs_claims=(
             ObsClaim(
                 "o1", "o2", A, upto=1, expect_equal=True,
@@ -593,13 +589,6 @@ def run_bfs_only_once() -> CounterexampleReport:
         return VRec({"k": VInt(k), "a": VAddr(A)})
 
     single = VRec({"a": VAddr(A)})
-    t = _single_tx(engine, contracts, B, "call_a", single)
-    t0 = _single_tx(engine, contracts, B, "start", start(0))
-    t1 = _single_tx(engine, contracts, B, "start", start(1))
-    t2 = _single_tx(engine, contracts, B, "start", start(2))
-    tp0 = _single_tx(engine, contracts, B, "start3", single)
-    t_native = _single_tx(native_engine, native_contracts, B, "call_a", single)
-    tp0_native = _single_tx(native_engine, native_contracts, B, "start3", single)
     seq_spec = ScenarioSpec(
         engine=engine,
         contracts=tuple(contracts),
@@ -609,31 +598,20 @@ def run_bfs_only_once() -> CounterexampleReport:
             TxSpec(dest=B, method="call_a", param=single),
         ),
     )
-    seq = run_scenario(seq_spec, debug=True)
+    seq = run_scenario(seq_spec, debug=True).results
     report = CounterexampleReport(
         name="bfs_only_once",
-        traces={
-            "t": t.traces[0],
-            "t0": t0.traces[0],
-            "t1": t1.traces[0],
-            "t2": t2.traces[0],
-            "t_prime0": tp0.traces[0],
-            "t_native": t_native.traces[0],
-            "t_prime0_native": tp0_native.traces[0],
-            "seq_t0": seq.traces[0],
-            "seq_t": seq.traces[1],
-        },
-        verdicts={
-            "t": t.outcomes[0],
-            "t0": t0.outcomes[0],
-            "t1": t1.outcomes[0],
-            "t2": t2.outcomes[0],
-            "t_prime0": tp0.outcomes[0],
-            "t_native": t_native.outcomes[0],
-            "t_prime0_native": tp0_native.outcomes[0],
-            "seq_t0": seq.outcomes[0],
-            "seq_t": seq.outcomes[1],
-        },
+        **_runs({
+            "t": _single_tx(engine, contracts, B, "call_a", single),
+            "t0": _single_tx(engine, contracts, B, "start", start(0)),
+            "t1": _single_tx(engine, contracts, B, "start", start(1)),
+            "t2": _single_tx(engine, contracts, B, "start", start(2)),
+            "t_prime0": _single_tx(engine, contracts, B, "start3", single),
+            "t_native": _single_tx(native_engine, native_contracts, B, "call_a", single),
+            "t_prime0_native": _single_tx(native_engine, native_contracts, B, "start3", single),
+            "seq_t0": seq[0],
+            "seq_t": seq[1],
+        }),
         queue_claims=(
             QueueClaim("t", (("A.ping",),), "single direct call"),
             QueueClaim(
@@ -727,26 +705,9 @@ def run_bfs_queue_gap() -> CounterexampleReport:
         ContractSpec(B, "forwarder_B"),
         ContractSpec(C, "sink_C"),
     ]
-    busy = _forward_plan(callspec(A), callspec(C))
-    quiet = _forward_plan(callspec(A))
-    p1 = _single_tx(plain_engine, plain, B, "run", busy)
-    p2 = _single_tx(plain_engine, plain, B, "run", quiet)
-    q1 = _single_tx(probe_engine, probing, B, "run", busy)
-    q2 = _single_tx(probe_engine, probing, B, "run", quiet)
     report = CounterexampleReport(
         name="bfs_queue_gap",
-        traces={
-            "busy_plain": p1.traces[0],
-            "quiet_plain": p2.traces[0],
-            "busy_probed": q1.traces[0],
-            "quiet_probed": q2.traces[0],
-        },
-        verdicts={
-            "busy_plain": p1.outcomes[0],
-            "quiet_plain": p2.outcomes[0],
-            "busy_probed": q1.outcomes[0],
-            "quiet_probed": q2.outcomes[0],
-        },
+        **_probe_runs(plain_engine, plain, probe_engine, probing),
         obs_claims=(
             ObsClaim(
                 "busy_plain", "quiet_plain", A, upto=1, expect_equal=True,

@@ -371,10 +371,20 @@ def report_from_json(obj: Mapping) -> CounterexampleReport:
             key: tuple(_claim_from_json(cls, c) for c in obj.get(key, []))
             for key, cls in _CLAIM_LISTS.items()
         }
+        for claim in (c for group in claims.values() for c in group):
+            for attr in ("trace", "trace_a", "trace_b"):
+                name = getattr(claim, attr, None)
+                if name is not None and name not in traces:
+                    raise ScenarioError(f"{type(claim).__name__}.{attr} names no trace: {name!r}")
+        verdicts = obj["verdicts"]
+        if verdicts.keys() != traces.keys():
+            raise ScenarioError(
+                f"verdicts for {sorted(verdicts)} do not match traces {sorted(traces)}"
+            )
         return CounterexampleReport(
             name=obj["name"],
             traces=traces,
-            verdicts={k: _ReadVerdict(v["kind"]) for k, v in obj["verdicts"].items()},
+            verdicts={k: _ReadVerdict(v["kind"]) for k, v in verdicts.items()},
             conclusion=obj.get("conclusion", ""),
             **claims,
         )

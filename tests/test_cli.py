@@ -255,6 +255,24 @@ def _claim_without_required_field():
     return "explain", json.dumps(bundle), "ObsClaim lacks subject"
 
 
+def _verdict_claim_of_unknown_trace():
+    bundle = report_to_json(run_dfs_only_once())
+    bundle["verdict_claims"][0]["trace"] = "ghost"
+    return "explain", json.dumps(bundle), "VerdictClaim.trace names no trace: 'ghost'"
+
+
+def _obs_claim_of_unknown_trace():
+    bundle = report_to_json(run_dfs_only_once())
+    bundle["obs_claims"][0]["trace_a"] = "ghost"
+    return "explain", json.dumps(bundle), "ObsClaim.trace_a names no trace: 'ghost'"
+
+
+def _trace_without_verdict():
+    bundle = report_to_json(run_dfs_only_once())
+    del bundle["verdicts"]["o1"]
+    return "explain", json.dumps(bundle), "do not match traces"
+
+
 @pytest.mark.parametrize(
     "malformed",
     [
@@ -262,6 +280,9 @@ def _claim_without_required_field():
         _meta_without_monitor_mode,
         _report_with_unknown_scheduler,
         _claim_without_required_field,
+        _verdict_claim_of_unknown_trace,
+        _obs_claim_of_unknown_trace,
+        _trace_without_verdict,
     ],
 )
 def test_malformed_trace_and_report_files_exit_two(runner, tmp_path, malformed):

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import basic_state, value_strategy
+from txmonsim import core
 from txmonsim.core import (
     Account,
     ChainState,
@@ -43,6 +44,17 @@ def test_digest_equal_for_deep_copied_state():
     )
     copy = ChainState({addr: Account(a.storage, a.balance, a.monitor_storage) for addr, a in s.items()})
     assert digest(s) == digest(copy)
+
+
+def test_value_blob_cache_stays_bounded():
+    # Digests memoize each value's serialized form; a process that hashes
+    # ever new values must not keep every one of them.
+    bound = core._value_blob.cache_info().maxsize
+    assert bound is not None
+    for i in range(bound + 100):
+        digest(ChainState({"A": Account(storage=VInt(i))}))
+    assert core._value_blob.cache_info().currsize == bound
+    core._value_blob.cache_clear()
 
 
 def test_digest_is_order_independent_over_addresses():

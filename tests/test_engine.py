@@ -18,6 +18,7 @@ from txmonsim.core import (
     Context,
     GasExhausted,
     InsufficientBalance,
+    MonitorMode,
     Operation,
     RecurringEscape,
     ScenarioError,
@@ -202,6 +203,33 @@ def test_queue_laws_hold_on_random_plans(scheduler, shape):
     res = run_one(registry, state, external("B", "run", plan), scheduler=scheduler, gas=500)
     assert res.committed
     assert check_queue_laws(res.trace) == []
+
+
+@pytest.mark.parametrize("scheduler", [SchedulerKind.DFS, SchedulerKind.BFS])
+def test_consecutive_records_share_the_queue_tuple(scheduler):
+    # A step's hook and operation records hold the queue the step received,
+    # not a copy of it: each record's queue_before is its predecessor's
+    # queue_after object.
+    registry = {
+        "A": build("once_monitored_A", {}, 0).contract,
+        "B": build("forwarder_B", {}, 0).contract,
+        "C": build("sink_C", {}, 0).contract,
+    }
+    state = ChainState({a: Account() for a in registry} | {"ext": Account()})
+    plan = VSeq((callspec("A"), callspec("A"), callspec("C")))
+    res = run_one(
+        registry, state, external("B", "run", plan), scheduler=scheduler,
+        monitor_mode=MonitorMode.TRANSACTION,
+    )
+    assert res.committed
+    pairs = [
+        (earlier, later)
+        for earlier, later in zip(res.trace.records, res.trace.records[1:])
+        if earlier.queue_after
+    ]
+    assert len(pairs) == 8
+    for earlier, later in pairs:
+        assert later.queue_before is earlier.queue_after, (earlier.index, later.index)
 
 
 # ---------------------------------------------------------------------------
