@@ -47,7 +47,6 @@ from .core import (
     digest,
 )
 from .engine import Engine, EngineConfig, TxResult, charge_gas
-from .monitors import MonitorHookSet, run_monitored_transaction
 from .scenarios import (
     CounterexampleReport,
     ScenarioSpec,

@@ -638,4 +638,7 @@ def build(name: str, params: Params, balance: int) -> Builtin:
     factory = BUILTINS.get(name)
     if factory is None:
         raise ScenarioError(f"unknown builtin contract {name!r}")
-    return factory(params, balance)
+    try:
+        return factory(params, balance)
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise ScenarioError(f"builtin contract {name!r}: bad params: {exc}") from exc

@@ -5,6 +5,12 @@ the first failure (abort, pre-state preserved). Emitted operations go to the
 front of the pending queue under DFS and to the back under BFS; those two
 queue laws are the only difference between the schedulers.
 
+Operation monitors bracket each operation of a contract with begin/end hooks.
+Transaction monitors add init (before a contract's first operation of the
+transaction) and term (after the queue drains, once per visited contract, in
+first-visit order). Hooks read contract storage and balance but may only
+rewrite the private monitor storage; term rewrites nothing.
+
 Gas model: one unit per executed operation plus one unit per emitted
 operation. Monitor hooks and storage hookups are free; the meter exists so
 that recurring self-injection reliably exhausts it.
@@ -220,6 +226,14 @@ class Engine:
                 self._audit_purity(ctx, op, contract, rest, acct.balance, acct.storage, view, result)
         except ContractError as exc:
             return ContractFail(op.dest, str(exc))
+        except ScenarioError:
+            raise
+        except Exception as exc:
+            # A fault of the step function or the harness, not an abort.
+            raise ScenarioError(
+                f"step {op.dest}.{op.method} at record {len(records)} raised "
+                f"{type(exc).__name__}: {exc}"
+            ) from exc
         if isinstance(result, StepFail):
             return ContractFail(op.dest, result.reason)
         if not isinstance(result, StepOk):

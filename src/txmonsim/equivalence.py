@@ -12,11 +12,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Callable, Mapping, Optional
 
 from .contracts import call, callspec, forwarder_B, sink_C
 from .core import (
-    AbortReason,
     Account,
     ChainState,
     Committed,
@@ -317,101 +316,72 @@ def generate_scenario(
 # Differential runner
 
 
-def _same_kind(native: AbortReason, transformed: AbortReason) -> bool:
-    return type(native) is type(transformed)
-
-
-def _abort_map(*pairs: tuple[type, type]) -> Callable[[AbortReason, AbortReason], bool]:
-    table = dict(pairs)
-
-    def match(native: AbortReason, transformed: AbortReason) -> bool:
-        expected = table.get(type(native))
-        if expected is not None:
-            return type(transformed) is expected
-        return _same_kind(native, transformed)
-
-    return match
-
-
 @dataclass(frozen=True)
 class TransformerCase:
+    """One transformer under differential test. The native run uses the
+    subject's own mechanisms (and transaction monitoring when the subject is
+    monitored); `target_mechs` is what the transformed run's engine offers.
+    `aborts` maps a native abort reason's type to the one the construction
+    turns it into; any other abort must keep its type."""
+
     name: str
     profile: str
     transform: Callable[[ContractDef], TransformedContract]
-    native_mechs: frozenset[Mechanism]
     target_mechs: frozenset[Mechanism]
-    native_monitor_mode: MonitorMode = MonitorMode.NONE
-    reading_key: Optional[str] = None
     scheduler: Optional[SchedulerKind] = None
-    abort_match: Callable[[AbortReason, AbortReason], bool] = _same_kind
-    check_monitor_storage: bool = False
+    aborts: Mapping[type, type] = field(default_factory=dict)
 
+
+# The trace reading that holds what a profile's subject logs.
+READING_KEYS = {"count": "count", "first": "first", "txmem": "txmem_in"}
 
 CASES: dict[str, TransformerCase] = {
     c.name: c
     for c in (
         TransformerCase(
-            "count_via_first", "count", sim_count_via_first,
-            frozenset({Mechanism.COUNT}), frozenset({Mechanism.FIRST}),
-            reading_key="count",
+            "count_via_first", "count", sim_count_via_first, frozenset({Mechanism.FIRST})
         ),
         TransformerCase(
-            "first_via_count", "first", sim_first_via_count,
-            frozenset({Mechanism.FIRST}), frozenset({Mechanism.COUNT}),
-            reading_key="first",
+            "first_via_count", "first", sim_first_via_count, frozenset({Mechanism.COUNT})
         ),
         TransformerCase(
-            "first_via_txmem", "first", sim_first_via_txmem,
-            frozenset({Mechanism.FIRST}), frozenset({Mechanism.TXMEM}),
-            reading_key="first",
+            "first_via_txmem", "first", sim_first_via_txmem, frozenset({Mechanism.TXMEM})
         ),
         TransformerCase(
-            "txmem_via_first", "txmem", sim_txmem_via_first,
-            frozenset({Mechanism.TXMEM}), frozenset({Mechanism.FIRST}),
-            reading_key="txmem_in",
+            "txmem_via_first", "txmem", sim_txmem_via_first, frozenset({Mechanism.FIRST})
         ),
         TransformerCase(
-            "bstore_via_first", "bstore", sim_bstore_via_first,
-            frozenset({Mechanism.BSTORE}), frozenset({Mechanism.FIRST}),
+            "bstore_via_first", "bstore", sim_bstore_via_first, frozenset({Mechanism.FIRST})
         ),
         TransformerCase(
-            "first_via_bstore", "first", sim_first_via_bstore,
-            frozenset({Mechanism.FIRST}), frozenset({Mechanism.BSTORE}),
-            reading_key="first",
+            "first_via_bstore", "first", sim_first_via_bstore, frozenset({Mechanism.BSTORE})
         ),
         TransformerCase(
-            "fail_via_ustore", "fail", sim_fail_via_ustore,
-            frozenset({Mechanism.FAIL}), frozenset({Mechanism.USTORE}),
-            abort_match=_abort_map((FailBitSet, HookupFail)),
+            "fail_via_ustore", "fail", sim_fail_via_ustore, frozenset({Mechanism.USTORE}),
+            aborts={FailBitSet: HookupFail},
         ),
         TransformerCase(
             "monitor_via_first_fail", "monitor", monitor_via_first_fail,
-            frozenset(), frozenset({Mechanism.FIRST, Mechanism.FAIL}),
-            native_monitor_mode=MonitorMode.TRANSACTION,
-            abort_match=_abort_map(
-                (MonitorTermFail, FailBitSet),
-                (MonitorInitFail, ContractFail),
-                (MonitorBeginFail, ContractFail),
-            ),
-            check_monitor_storage=True,
+            frozenset({Mechanism.FIRST, Mechanism.FAIL}),
+            aborts={
+                MonitorTermFail: FailBitSet,
+                MonitorInitFail: ContractFail,
+                MonitorBeginFail: ContractFail,
+            },
         ),
         TransformerCase(
-            "fail_via_recurring_bfs", "fail", sim_fail_via_recurring_bfs,
-            frozenset({Mechanism.FAIL}), frozenset(),
-            scheduler=SchedulerKind.BFS,
-            abort_match=_abort_map((FailBitSet, GasExhausted)),
+            "fail_via_recurring_bfs", "fail", sim_fail_via_recurring_bfs, frozenset(),
+            scheduler=SchedulerKind.BFS, aborts={FailBitSet: GasExhausted},
         ),
         TransformerCase(
             "ustore_via_first_bfs", "ustore", sim_ustore_via_first_bfs,
-            frozenset({Mechanism.USTORE}), frozenset({Mechanism.FIRST}),
-            scheduler=SchedulerKind.BFS,
-            abort_match=_abort_map((HookupFail, GasExhausted)),
+            frozenset({Mechanism.FIRST}),
+            scheduler=SchedulerKind.BFS, aborts={HookupFail: GasExhausted},
         ),
         TransformerCase(
             "ustore_via_queue_bfs", "ustore", sim_ustore_via_queue_bfs,
-            frozenset({Mechanism.USTORE}), frozenset({Mechanism.QUEUE}),
-            scheduler=SchedulerKind.BFS,
-            abort_match=_abort_map((HookupFail, ContractFail)),
+            frozenset({Mechanism.QUEUE}),
+            scheduler=SchedulerKind.BFS, aborts={HookupFail: ContractFail},
         ),
     )
 }
@@ -493,6 +463,7 @@ def run_case(
     on_trace: Optional[Callable[[Trace], None]] = None,
 ) -> DiffReport:
     report = DiffReport(case=case.name)
+    reading_key = READING_KEYS.get(case.profile)
     for seed in seeds:
         scenario = generate_scenario(case.profile, seed, scheduler=case.scheduler)
         subject, storage0, monitor0 = make_subject(case.profile, scenario.hook_spec)
@@ -505,8 +476,8 @@ def run_case(
             EngineConfig(
                 scheduler=scenario.scheduler,
                 gas_limit=GAS_LIMIT,
-                mechanisms=case.native_mechs,
-                monitor_mode=case.native_monitor_mode,
+                mechanisms=subject.mechanism_uses,
+                monitor_mode=MonitorMode.TRANSACTION if subject.monitored else MonitorMode.NONE,
             ),
         )
         trans_engine = Engine(
@@ -536,11 +507,11 @@ def run_case(
                     f"transformed {rt.outcome.kind}"
                 )
                 break
-            if case.reading_key is not None:
-                native_reads = _subject_readings(rn.trace, case.reading_key)
-                trans_reads = _subject_readings(rt.trace, case.reading_key)
+            if reading_key is not None:
+                native_reads = _subject_readings(rn.trace, reading_key)
+                trans_reads = _subject_readings(rt.trace, reading_key)
                 if native_reads != trans_reads:
-                    fail(f"{case.reading_key} readings differ: {native_reads} vs {trans_reads}")
+                    fail(f"{reading_key} readings differ: {native_reads} vs {trans_reads}")
                     break
             if _third_party_ops(rn.trace) != _third_party_ops(rt.trace):
                 fail("operations toward third parties differ")
@@ -554,13 +525,15 @@ def run_case(
                 if projected != native_subject:
                     fail(f"projected storage differs: {projected} vs {native_subject}")
                     break
-                if case.check_monitor_storage:
+                if subject.monitored:
                     if monitor_storage_of(trans_state.storage(T)) != native_state.monitor_storage(T):
                         fail("inlined monitor storage differs")
                         break
             else:
                 report.aborts += 1
-                if not case.abort_match(rn.outcome.reason, rt.outcome.reason):  # type: ignore[union-attr]
+                native = type(rn.outcome.reason)  # type: ignore[union-attr]
+                expected = case.aborts.get(native, native)
+                if type(rt.outcome.reason) is not expected:  # type: ignore[union-attr]
                     fail(
                         f"abort channels differ: native {rn.outcome.kind}, "
                         f"transformed {rt.outcome.kind}"
@@ -582,9 +555,7 @@ def _count_round_trip(c: ContractDef) -> TransformedContract:
 
 
 COMPOSITION = TransformerCase(
-    "composition_count_first_count", "count", _count_round_trip,
-    frozenset({Mechanism.COUNT}), frozenset({Mechanism.COUNT}),
-    reading_key="count",
+    "composition_count_first_count", "count", _count_round_trip, frozenset({Mechanism.COUNT})
 )
 
 

@@ -179,11 +179,18 @@ class DerivedView:
     """A step view built over another: the given callables answer the
     `first`, `count`, `queue` and `txmem` queries (called with no argument)
     and take the `set_txmem`/`set_fail` writes; every other read falls
-    through to `base`. Over an engine view, a query against a mechanism the
-    engine really disables still reaches it and faults."""
+    through to `base`. An answered query is noted on `base` under the name
+    and tag a `ContextView` logs it with, so traces carry the simulated
+    reading. Over an engine view, a query against a mechanism the engine
+    really disables still reaches it and faults."""
 
-    QUERIES = frozenset({"first", "count", "queue", "txmem"})
-    MEMBERS = QUERIES | {"set_txmem", "set_fail"}
+    READINGS: dict[str, tuple[str, Optional[Callable]]] = {
+        "first": ("first", VBool),
+        "count": ("count", VInt),
+        "queue": ("queue", VBool),
+        "txmem": ("txmem_in", None),
+    }
+    MEMBERS = frozenset(READINGS) | {"set_txmem", "set_fail"}
 
     def __init__(self, base, **overrides: Callable):
         if not self.MEMBERS.issuperset(overrides):
@@ -195,7 +202,13 @@ class DerivedView:
         override = self._overrides.get(name)
         if override is None:
             return getattr(self._base, name)
-        return override() if name in self.QUERIES else override
+        reading = self.READINGS.get(name)
+        if reading is None:
+            return override
+        value = override()
+        key, tag = reading
+        self._base.note_reading(key, value if tag is None else tag(value))
+        return value
 
 
 def fold_effects(ctx: Context, view: ContextView) -> Context:

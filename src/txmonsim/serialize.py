@@ -312,9 +312,9 @@ def scenario_from_json(obj: Mapping) -> ScenarioSpec:
             )
             for t in obj.get("transactions", [])
         )
-    return ScenarioSpec(
-        engine=engine, contracts=contracts, externals=externals, transactions=transactions
-    )
+        return ScenarioSpec(
+            engine=engine, contracts=contracts, externals=externals, transactions=transactions
+        )
 
 
 # ---------------------------------------------------------------------------

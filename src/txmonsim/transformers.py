@@ -17,7 +17,7 @@ transfer has run.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable
+from typing import Callable, Optional
 
 from .core import (
     Address,
@@ -74,11 +74,38 @@ def _stamp(emitted: tuple[Operation, ...], addr: Address) -> tuple[Operation, ..
     return tuple(replace(e, src=addr) for e in emitted)
 
 
-def _project_field(key: str) -> Callable[[Value], Value]:
-    def project(storage: Value) -> Value:
-        return as_rec(storage).get(key)  # type: ignore[return-value]
+def _transformed(
+    c: ContractDef,
+    step,
+    uses,
+    project: Optional[str] = None,
+    layout: Optional[Callable[[Value, Value], dict]] = None,
+    **changes,
+) -> TransformedContract:
+    """Wrap `c` with a new step and mechanism set. Without a `layout` the
+    storage is shared as is; with one, the wrapped storage is the record
+    `layout(storage, monitor_storage)` and the projection reads its field
+    `project`."""
+    wrapped = replace(c, step=step, mechanism_uses=frozenset(uses), **changes)
+    if layout is None:
+        return TransformedContract(wrapped, lambda s: s, lambda s, ms=UNIT: s)
+    return TransformedContract(
+        wrapped,
+        lambda s: as_rec(s).get(project),  # type: ignore[return-value]
+        lambda s, ms=UNIT: VRec(layout(s, ms)),
+    )
 
-    return project
+
+def _ledger(first: bool, s: VRec, balance: int, money: int) -> tuple[int, int, int]:
+    """Pending-transfer bookkeeping (starting balance, received, sent) after
+    receiving `money`: started afresh on a transaction's first call."""
+    if first:
+        return balance - money, money, 0
+    return as_amt(s.get("bal0")), as_amt(s.get("recv")) + money, as_amt(s.get("sent"))
+
+
+def _ledger_fields(bal0: int, recv: int, sent: int) -> dict[str, Value]:
+    return {"bal0": VAmt(bal0), "recv": VAmt(recv), "sent": VAmt(sent)}
 
 
 # ---------------------------------------------------------------------------
@@ -93,27 +120,14 @@ def sim_count_via_first(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         n = 1 if view.first else as_int(s.get("sim_count")) + 1
-
-        def count_query() -> int:
-            view.note_reading("count", VInt(n))
-            return n
-
-        res = c.step(
-            DerivedView(view, count=count_query), method, param, money, s.get("base"), balance
-        )
+        derived = DerivedView(view, count=lambda: n)
+        res = c.step(derived, method, param, money, s.get("base"), balance)
         if not isinstance(res, StepOk):
             return res
-        return StepOk(
-            VRec({"base": res.new_storage, "sim_count": VInt(n)}), res.emitted
-        )
+        return StepOk(VRec({"base": res.new_storage, "sim_count": VInt(n)}), res.emitted)
 
-    wrapped = replace(
-        c, step=step, mechanism_uses=frozenset({Mechanism.FIRST})
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=_project_field("base"),
-        wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "sim_count": VInt(0)}),
+    return _transformed(
+        c, step, {Mechanism.FIRST}, "base", lambda s, ms: {"base": s, "sim_count": VInt(0)}
     )
 
 
@@ -122,19 +136,10 @@ def sim_first_via_count(c: ContractDef) -> TransformedContract:
     _require_uses(c, frozenset({Mechanism.FIRST}), "sim_first_via_count")
 
     def step(view, method, param, money, storage, balance) -> StepResult:
-        def first_query() -> bool:
-            value = view.count == 1
-            view.note_reading("first", VBool(value))
-            return value
+        derived = DerivedView(view, first=lambda: view.count == 1)
+        return c.step(derived, method, param, money, storage, balance)
 
-        return c.step(DerivedView(view, first=first_query), method, param, money, storage, balance)
-
-    wrapped = replace(c, step=step, mechanism_uses=frozenset({Mechanism.COUNT}))
-    return TransformedContract(
-        wrapped=wrapped,
-        project=lambda s: s,
-        wrap_storage=lambda s, ms=UNIT: s,
-    )
+    return _transformed(c, step, {Mechanism.COUNT})
 
 
 def sim_first_via_txmem(c: ContractDef) -> TransformedContract:
@@ -143,27 +148,13 @@ def sim_first_via_txmem(c: ContractDef) -> TransformedContract:
     _require_uses(c, frozenset({Mechanism.FIRST}), "sim_first_via_txmem")
 
     def step(view, method, param, money, storage, balance) -> StepResult:
-        def first_query() -> bool:
-            value = as_bool(view.txmem)
-            view.note_reading("first", VBool(value))
-            return value
-
-        res = c.step(DerivedView(view, first=first_query), method, param, money, storage, balance)
+        derived = DerivedView(view, first=lambda: as_bool(view.txmem))
+        res = c.step(derived, method, param, money, storage, balance)
         if isinstance(res, StepOk):
             view.set_txmem(VBool(False))
         return res
 
-    wrapped = replace(
-        c,
-        step=step,
-        txmem_init=lambda storage: VBool(True),
-        mechanism_uses=frozenset({Mechanism.TXMEM}),
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=lambda s: s,
-        wrap_storage=lambda s, ms=UNIT: s,
-    )
+    return _transformed(c, step, {Mechanism.TXMEM}, txmem_init=lambda storage: VBool(True))
 
 
 def sim_txmem_via_first(c: ContractDef) -> TransformedContract:
@@ -176,28 +167,18 @@ def sim_txmem_via_first(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         base = s.get("base")
-        seg = c.txmem_init(base) if view.first else s.get("sim_txmem")
-        buf = [seg]
-
-        def txmem_get() -> Value:
-            view.note_reading("txmem_in", buf[0])
-            return buf[0]
-
+        buf = [c.txmem_init(base) if view.first else s.get("sim_txmem")]
         res = c.step(
-            DerivedView(view, txmem=txmem_get, set_txmem=lambda v: buf.__setitem__(0, v)),
+            DerivedView(view, txmem=lambda: buf[0], set_txmem=lambda v: buf.__setitem__(0, v)),
             method, param, money, base, balance,
         )
         if not isinstance(res, StepOk):
             return res
         return StepOk(VRec({"base": res.new_storage, "sim_txmem": buf[0]}), res.emitted)
 
-    wrapped = replace(
-        c, step=step, txmem_init=None, mechanism_uses=frozenset({Mechanism.FIRST})
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=_project_field("base"),
-        wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "sim_txmem": UNIT}),
+    return _transformed(
+        c, step, {Mechanism.FIRST}, "base", lambda s, ms: {"base": s, "sim_txmem": UNIT},
+        txmem_init=None,
     )
 
 
@@ -217,17 +198,11 @@ def sim_bstore_via_first(c: ContractDef) -> TransformedContract:
         if not isinstance(res, StepOk):
             return res
         parked = hook(res.new_storage, balance)
-        return StepOk(
-            VRec({"base": res.new_storage, "s_hookup": parked}), res.emitted
-        )
+        return StepOk(VRec({"base": res.new_storage, "s_hookup": parked}), res.emitted)
 
-    wrapped = replace(
-        c, step=step, bstore_hook=None, mechanism_uses=frozenset({Mechanism.FIRST})
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=_project_field("s_hookup"),
-        wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "s_hookup": s}),
+    return _transformed(
+        c, step, {Mechanism.FIRST}, "s_hookup", lambda s, ms: {"base": s, "s_hookup": s},
+        bstore_hook=None,
     )
 
 
@@ -239,13 +214,8 @@ def sim_first_via_bstore(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         flag = as_bool(s.get("b_fst"))
-
-        def first_query() -> bool:
-            view.note_reading("first", VBool(flag))
-            return flag
-
         res = c.step(
-            DerivedView(view, first=first_query), method, param, money, s.get("base"), balance
+            DerivedView(view, first=lambda: flag), method, param, money, s.get("base"), balance
         )
         if not isinstance(res, StepOk):
             return res
@@ -254,13 +224,9 @@ def sim_first_via_bstore(c: ContractDef) -> TransformedContract:
     def raise_flag(storage: Value, balance: int) -> Value:
         return as_rec(storage).set("b_fst", VBool(True))
 
-    wrapped = replace(
-        c, step=step, bstore_hook=raise_flag, mechanism_uses=frozenset({Mechanism.BSTORE})
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=_project_field("base"),
-        wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "b_fst": VBool(True)}),
+    return _transformed(
+        c, step, {Mechanism.BSTORE}, "base", lambda s, ms: {"base": s, "b_fst": VBool(True)},
+        bstore_hook=raise_flag,
     )
 
 
@@ -289,13 +255,9 @@ def sim_fail_via_ustore(c: ContractDef) -> TransformedContract:
             raise ContractError("mirrored fail bit raised")
         return storage
 
-    wrapped = replace(
-        c, step=step, ustore_hook=hookup, mechanism_uses=frozenset({Mechanism.USTORE})
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=_project_field("base"),
-        wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "fl": VBool(False)}),
+    return _transformed(
+        c, step, {Mechanism.USTORE}, "base", lambda s, ms: {"base": s, "fl": VBool(False)},
+        ustore_hook=hookup,
     )
 
 
@@ -317,24 +279,17 @@ def monitor_via_first_fail(c: ContractDef) -> TransformedContract:
 
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
-        if view.first:
-            bal0 = balance - money
-            recv = 0
-            sent = 0
-            mon = s.get("mon")
-            if c.init is not None:
-                mon = c.init(s.get("base"), bal0, mon)
-        else:
-            bal0 = as_amt(s.get("bal0"))
-            recv = as_amt(s.get("recv"))
-            sent = as_amt(s.get("sent"))
-            mon = s.get("mon")
-        recv += money
+        first = view.first
+        bal0, recv, sent = _ledger(first, s, balance, money)
+        mon = s.get("mon")
+        if first and c.init is not None:
+            mon = c.init(s.get("base"), bal0, mon)
         if c.begin is not None:
             mon = c.begin(method, param, money, mon)
         res = c.step(view, method, param, money, s.get("base"), balance)
         if not isinstance(res, StepOk):
             return res
+        # The inlined end hook sees the emissions as the engine would stamp them.
         emitted = _stamp(res.emitted, view.self_addr)
         sent += sum(e.money for e in emitted)
         if c.end is not None:
@@ -346,32 +301,13 @@ def monitor_via_first_fail(c: ContractDef) -> TransformedContract:
             except ContractError:
                 rejected = True
         view.set_fail(rejected)
-        new_s = VRec(
-            {
-                "base": res.new_storage,
-                "mon": mon,
-                "bal0": VAmt(bal0),
-                "recv": VAmt(recv),
-                "sent": VAmt(sent),
-            }
-        )
-        return StepOk(new_s, emitted)
+        fields = {"base": res.new_storage, "mon": mon, **_ledger_fields(bal0, recv, sent)}
+        return StepOk(VRec(fields), emitted)
 
-    wrapped = replace(
-        c,
-        step=step,
-        init=None,
-        begin=None,
-        end=None,
-        term=None,
-        mechanism_uses=(c.mechanism_uses | {Mechanism.FIRST, Mechanism.FAIL}),
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=_project_field("base"),
-        wrap_storage=lambda s, ms=UNIT: VRec(
-            {"base": s, "mon": ms, "bal0": VAmt(0), "recv": VAmt(0), "sent": VAmt(0)}
-        ),
+    return _transformed(
+        c, step, c.mechanism_uses | {Mechanism.FIRST, Mechanism.FAIL},
+        "base", lambda s, ms: {"base": s, "mon": ms, **_ledger_fields(0, 0, 0)},
+        init=None, begin=None, end=None, term=None,
     )
 
 
@@ -403,7 +339,7 @@ def sim_fail_via_recurring_bfs(c: ContractDef) -> TransformedContract:
         )
         if not isinstance(res, StepOk):
             return res
-        emitted = _stamp(res.emitted, view.self_addr)
+        emitted = res.emitted
         poll = as_bool(s.get("poll"))
         if bit[0] and not poll:
             emitted = emitted + (_self_call(view.self_addr, FAIL_POLL),)
@@ -413,18 +349,10 @@ def sim_fail_via_recurring_bfs(c: ContractDef) -> TransformedContract:
             emitted,
         )
 
-    wrapped = replace(
-        c,
-        step=step,
+    return _transformed(
+        c, step, (), "base",
+        lambda s, ms: {"base": s, "fl": VBool(False), "poll": VBool(False)},
         recurring_methods=c.recurring_methods | {FAIL_POLL},
-        mechanism_uses=frozenset(),
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=_project_field("base"),
-        wrap_storage=lambda s, ms=UNIT: VRec(
-            {"base": s, "fl": VBool(False), "poll": VBool(False)}
-        ),
     )
 
 
@@ -454,28 +382,19 @@ def sim_ustore_via_first_bfs(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         if method == USTORE_POLL:
-            adjusted = as_amt(s.get("bal0")) + as_amt(s.get("recv")) - as_amt(s.get("sent"))
-            parked, ok = evaluate(s.get("live"), adjusted)
+            bal0, recv, sent = _ledger(False, s, balance, 0)
+            parked, ok = evaluate(s.get("live"), bal0 + recv - sent)
             if ok:
                 return StepOk(s.set("shadow", parked).set("poll", VBool(False)))
             return StepOk(s, (_self_call(view.self_addr, USTORE_POLL),))
-        if view.first:
-            live = s.get("shadow")
-            bal0 = balance - money
-            recv = 0
-            sent = 0
-            poll = False
-        else:
-            live = s.get("live")
-            bal0 = as_amt(s.get("bal0"))
-            recv = as_amt(s.get("recv"))
-            sent = as_amt(s.get("sent"))
-            poll = as_bool(s.get("poll"))
-        recv += money
+        first = view.first
+        bal0, recv, sent = _ledger(first, s, balance, money)
+        live = s.get("shadow") if first else s.get("live")
+        poll = not first and as_bool(s.get("poll"))
         res = c.step(view, method, param, money, live, balance)
         if not isinstance(res, StepOk):
             return res
-        emitted = _stamp(res.emitted, view.self_addr)
+        emitted = res.emitted
         sent += sum(e.money for e in emitted)
         parked, ok = evaluate(res.new_storage, bal0 + recv - sent)
         shadow = s.get("shadow")
@@ -484,40 +403,14 @@ def sim_ustore_via_first_bfs(c: ContractDef) -> TransformedContract:
         elif not poll:
             emitted = emitted + (_self_call(view.self_addr, USTORE_POLL),)
             poll = True
-        return StepOk(
-            VRec(
-                {
-                    "live": res.new_storage,
-                    "shadow": shadow,
-                    "bal0": VAmt(bal0),
-                    "recv": VAmt(recv),
-                    "sent": VAmt(sent),
-                    "poll": VBool(poll),
-                }
-            ),
-            emitted,
-        )
+        fields = {"live": res.new_storage, "shadow": shadow, "poll": VBool(poll)}
+        return StepOk(VRec({**fields, **_ledger_fields(bal0, recv, sent)}), emitted)
 
-    wrapped = replace(
-        c,
-        step=step,
+    return _transformed(
+        c, step, {Mechanism.FIRST}, "shadow",
+        lambda s, ms: {"live": s, "shadow": s, "poll": VBool(False), **_ledger_fields(0, 0, 0)},
         ustore_hook=None,
         recurring_methods=c.recurring_methods | {USTORE_POLL},
-        mechanism_uses=frozenset({Mechanism.FIRST}),
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=_project_field("shadow"),
-        wrap_storage=lambda s, ms=UNIT: VRec(
-            {
-                "live": s,
-                "shadow": s,
-                "bal0": VAmt(0),
-                "recv": VAmt(0),
-                "sent": VAmt(0),
-                "poll": VBool(False),
-            }
-        ),
     )
 
 
@@ -541,22 +434,15 @@ def sim_ustore_via_queue_bfs(c: ContractDef) -> TransformedContract:
         res = c.step(view, method, param, money, s.get("base"), balance)
         if not isinstance(res, StepOk):
             return res
-        emitted = _stamp(res.emitted, view.self_addr)
+        emitted = res.emitted
         check = as_bool(s.get("check"))
         if not check:
             emitted = emitted + (_self_call(view.self_addr, USTORE_CHECK),)
             check = True
         return StepOk(VRec({"base": res.new_storage, "check": VBool(check)}), emitted)
 
-    wrapped = replace(
-        c,
-        step=step,
+    return _transformed(
+        c, step, {Mechanism.QUEUE}, "base", lambda s, ms: {"base": s, "check": VBool(False)},
         ustore_hook=None,
         recurring_methods=c.recurring_methods | {USTORE_CHECK},
-        mechanism_uses=frozenset({Mechanism.QUEUE}),
-    )
-    return TransformedContract(
-        wrapped=wrapped,
-        project=_project_field("base"),
-        wrap_storage=lambda s, ms=UNIT: VRec({"base": s, "check": VBool(False)}),
     )

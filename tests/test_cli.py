@@ -273,6 +273,27 @@ def _trace_without_verdict():
     return "explain", json.dumps(bundle), "do not match traces"
 
 
+def _only_once_scenario(edit):
+    obj = json.loads((FIXTURES / "only_once_dfs.json").read_text())
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _scenario_with_int_param():
+    text = _only_once_scenario(lambda o: o["contracts"][0].update(params={"probe": 5}))
+    return "run", text, "builtin contract 'once_monitored_A'"
+
+
+def _scenario_with_list_params():
+    text = _only_once_scenario(lambda o: o["contracts"][0].update(params=["x"]))
+    return "run", text, "builtin contract 'once_monitored_A'"
+
+
+def _scenario_with_list_dest():
+    text = _only_once_scenario(lambda o: o["transactions"][0].update(dest=["B"]))
+    return "run", text, "malformed scenario: unhashable type"
+
+
 @pytest.mark.parametrize(
     "malformed",
     [
@@ -283,6 +304,9 @@ def _trace_without_verdict():
         _verdict_claim_of_unknown_trace,
         _obs_claim_of_unknown_trace,
         _trace_without_verdict,
+        _scenario_with_int_param,
+        _scenario_with_list_params,
+        _scenario_with_list_dest,
     ],
 )
 def test_malformed_trace_and_report_files_exit_two(runner, tmp_path, malformed):

@@ -338,3 +338,16 @@ def test_nondeterministic_step_is_flagged_in_debug_runs():
     state = ChainState({"A": Account(storage=VRec({})), "ext": Account()})
     with pytest.raises(ScenarioError):
         run_one(registry, state, external("A"))
+
+
+def test_step_raising_a_non_contract_error_is_a_named_harness_fault():
+    def broken(view, method, param, money, storage, balance):
+        if method == "boom":
+            raise TypeError("unsupported operand")
+        return StepOk(storage, (call("A", "boom"),))
+
+    registry = {"A": ContractDef(step=broken)}
+    state = ChainState({"A": Account(storage=VRec({})), "ext": Account()})
+    with pytest.raises(ScenarioError, match=r"step A\.boom at record 1 raised TypeError") as info:
+        run_one(registry, state, external("A"))
+    assert isinstance(info.value.__cause__, TypeError)

@@ -15,6 +15,7 @@ from txmonsim.core import (
     Account,
     ChainState,
     ContractDef,
+    Context,
     ContractError,
     FailBitSet,
     HookupFail,
@@ -35,7 +36,13 @@ from txmonsim.core import (
     as_seq,
 )
 from txmonsim.engine import Engine, EngineConfig
-from txmonsim.mechanisms import BStoreBudgetError, BSTORE_STEP_BUDGET, hook_tick
+from txmonsim.mechanisms import (
+    BStoreBudgetError,
+    BSTORE_STEP_BUDGET,
+    ContextView,
+    DerivedView,
+    hook_tick,
+)
 
 
 ALL = frozenset(Mechanism)
@@ -413,3 +420,17 @@ def test_mechanism_toggles_invisible_to_non_querying_contracts(scheduler, shape)
     with_none = run(registry, state, op, mechanisms=frozenset(), scheduler=scheduler)
     assert with_all.outcome.final == with_none.outcome.final
     assert with_all.trace.records == with_none.trace.records
+
+
+def test_derived_view_logs_its_simulated_readings_on_the_engine_view():
+    base = ContextView(
+        ctx=Context(counts={"A": 3}),
+        self_addr="A",
+        contract=inert_contract(),
+        enabled=frozenset(),
+        pending=(),
+        storage=VRec({}),
+    )
+    view = DerivedView(base, first=lambda: True, count=lambda: 7)
+    assert view.first is True and view.count == 7
+    assert base.readings == {"first": VBool(True), "count": VInt(7)}

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
 from dataclasses import replace
 
 from conftest import external, inert_contract
@@ -19,13 +18,11 @@ from txmonsim.core import (
     MonitorMode,
     MonitorTermFail,
     RecordKind,
-    ScenarioError,
     VInt,
     VSeq,
     as_int,
 )
 from txmonsim.engine import Engine, EngineConfig
-from txmonsim.monitors import MonitorHookSet, identity_hooks, run_monitored_transaction
 
 
 def once_registry(**extra):
@@ -53,30 +50,28 @@ def tx_config(**kw):
     return EngineConfig(monitor_mode=MonitorMode.TRANSACTION, gas_limit=100, **kw)
 
 
+def run_monitored(registry, state, op):
+    return Engine(registry, tx_config()).run_transaction(state, op)
+
+
 def plan(calls_to_a: int):
     return VSeq(tuple([callspec("A")] * calls_to_a + [callspec("C")]))
 
 
 def test_one_call_is_rejected_by_term():
-    res = run_monitored_transaction(
-        once_registry(), once_state(), tx_config(), external("B", "run", plan(1))
-    )
+    res = run_monitored(once_registry(), once_state(), external("B", "run", plan(1)))
     assert isinstance(res.outcome, Aborted)
     assert res.outcome.reason == MonitorTermFail("A")
 
 
 def test_two_calls_commit_with_counter_at_two():
-    res = run_monitored_transaction(
-        once_registry(), once_state(), tx_config(), external("B", "run", plan(2))
-    )
+    res = run_monitored(once_registry(), once_state(), external("B", "run", plan(2)))
     assert isinstance(res.outcome, Committed)
     assert as_int(res.outcome.final.monitor_storage("A")) == 2
 
 
 def test_untouched_monitored_contract_gets_no_init_or_term():
-    res = run_monitored_transaction(
-        once_registry(), once_state(), tx_config(), external("B", "run", plan(0))
-    )
+    res = run_monitored(once_registry(), once_state(), external("B", "run", plan(0)))
     assert res.committed
     kinds = [r.kind for r in res.trace.records]
     assert RecordKind.INIT not in kinds and RecordKind.TERM not in kinds
@@ -84,9 +79,7 @@ def test_untouched_monitored_contract_gets_no_init_or_term():
 
 def test_monitor_record_shape_and_isolation():
     registry = once_registry()
-    res = run_monitored_transaction(
-        registry, once_state(), tx_config(), external("B", "run", plan(2))
-    )
+    res = run_monitored(registry, once_state(), external("B", "run", plan(2)))
     assert check_monitor_shape(res.trace, registry) == []
     assert check_hook_isolation(res.trace) == []
     kinds = [(r.kind, r.subject) for r in res.trace.records]
@@ -104,9 +97,7 @@ def test_begin_failure_aborts():
         raise ContractError("refused")
 
     registry = once_registry(A=replace(contract, begin=bad_begin))
-    res = run_monitored_transaction(
-        registry, once_state(), tx_config(), external("B", "run", plan(1))
-    )
+    res = run_monitored(registry, once_state(), external("B", "run", plan(1)))
     assert isinstance(res.outcome, Aborted)
     assert res.outcome.reason == MonitorBeginFail("A")
 
@@ -118,16 +109,18 @@ def test_end_failure_aborts():
         raise ContractError("refused")
 
     registry = once_registry(A=replace(contract, end=bad_end))
-    res = run_monitored_transaction(
-        registry, once_state(), tx_config(), external("B", "run", plan(1))
-    )
+    res = run_monitored(registry, once_state(), external("B", "run", plan(1)))
     assert isinstance(res.outcome, Aborted)
     assert res.outcome.reason == MonitorEndFail("A")
 
 
 def test_operation_monitor_identity_hooks_do_not_perturb_execution():
     plain = inert_contract()
-    monitored = identity_hooks().attach(plain)
+    monitored = replace(
+        plain,
+        begin=lambda method, param, money, ms: ms,
+        end=lambda emitted, new_storage, ms: ms,
+    )
     registry_plain = {"A": plain, "B": once_registry()["B"], "C": once_registry()["C"]}
     registry_mon = dict(registry_plain, A=monitored)
     op = external("B", "run", plan(2))
@@ -162,20 +155,21 @@ def test_operation_mode_runs_begin_end_but_never_init_term():
 
 
 def test_term_runs_in_first_visit_order_and_stops_at_first_failure():
-    always_fail = MonitorHookSet(
-        term=lambda storage, balance, ms: (_ for _ in ()).throw(ContractError("no"))
-    )
-    ok_hooks = MonitorHookSet(term=lambda storage, balance, ms: None)
+    def always_fail(storage, balance, ms):
+        raise ContractError("no")
+
+    def ok(storage, balance, ms):
+        return None
+
     registry = {
-        "X": ok_hooks.attach(inert_contract()),
-        "Y": always_fail.attach(inert_contract()),
-        "Z": ok_hooks.attach(inert_contract()),
+        "X": replace(inert_contract(), term=ok),
+        "Y": replace(inert_contract(), term=always_fail),
+        "Z": replace(inert_contract(), term=ok),
         "B": build("forwarder_B", {}, 0).contract,
     }
     state = ChainState({a: Account() for a in registry} | {"ext": Account()})
-    res = run_monitored_transaction(
-        registry, state, tx_config(),
-        external("B", "run", VSeq((callspec("X"), callspec("Y"), callspec("Z")))),
+    res = run_monitored(
+        registry, state, external("B", "run", VSeq((callspec("X"), callspec("Y"), callspec("Z"))))
     )
     assert isinstance(res.outcome, Aborted)
     assert res.outcome.reason == MonitorTermFail("Y")
@@ -183,22 +177,14 @@ def test_term_runs_in_first_visit_order_and_stops_at_first_failure():
     assert terms == ["X"]  # Y failed, Z never ran
 
 
-def test_run_monitored_transaction_requires_transaction_mode():
-    with pytest.raises(ScenarioError):
-        run_monitored_transaction(
-            once_registry(), once_state(), EngineConfig(gas_limit=10), external("B", "run", plan(1))
-        )
-
-
 def test_monitor_storage_survives_between_transactions_until_next_init():
     registry = once_registry()
     state = once_state()
-    cfg = tx_config()
-    res1 = run_monitored_transaction(registry, state, cfg, external("B", "run", plan(2)))
+    res1 = run_monitored(registry, state, external("B", "run", plan(2)))
     assert res1.committed
     state2 = res1.outcome.final
     assert as_int(state2.monitor_storage("A")) == 2
     # next transaction re-initializes before counting anew: three calls pass
-    res2 = run_monitored_transaction(registry, state2, cfg, external("B", "run", plan(3)))
+    res2 = run_monitored(registry, state2, external("B", "run", plan(3)))
     assert res2.committed
     assert as_int(res2.outcome.final.monitor_storage("A")) == 3

@@ -1,7 +1,7 @@
 """Every function, class and method in the package has a caller.
 
 A name counts as used when it appears, as a whole word, more often in the
-package, the tests, the scripts and the benchmark than it is defined. Text
+package, the tests and the benchmark than it is defined. Text
 matching also sees names that are looked up by string, such as the functions
 the benchmark's tracer patches. Dunder methods are called by the language
 and are left out.
@@ -16,7 +16,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "txmonsim"
-SEARCHED = ("src", "tests", "scripts", "perfbench")
+SEARCHED = ("src", "tests", "perfbench")
 
 
 def _definitions() -> Counter:
