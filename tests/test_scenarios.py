@@ -177,3 +177,19 @@ def test_flashloan_traces_satisfy_global_invariants():
     for tx in result.results:
         assert check_all(registry, state, tx) == []
         state = tx.outcome.final
+
+
+def test_every_lender_refuses_a_loan_above_its_balance():
+    from txmonsim.core import ContractFail
+    from txmonsim.scenarios import (
+        L1, LENDER_VARIANTS, SINK, LenderVariant, SchedulerKind, _loan_scenario, run_scenario,
+    )
+
+    naive = LenderVariant("naive@dfs", "lender_naive", SchedulerKind.DFS)
+    for variant in LENDER_VARIANTS + (naive,):
+        spec = _loan_scenario(variant, "client_malicious", {"l": L1, "sink": SINK, "amount": 150})
+        result = run_scenario(spec)
+        assert result.outcomes[0].reason == ContractFail(L1, "insufficient funds for loan"), variant
+        assert result.final_state == result.pre_state
+    with pytest.raises(ScenarioError, match="repays at most the loan"):
+        build("client_partial", {"l": L1, "sink": SINK, "amount": 100, "repay_amount": 101}, 0)
