@@ -151,7 +151,7 @@ def check_replay(registry: Registry, trace: Trace) -> list[str]:
     problems = []
     ops = [r for r in trace.records if r.kind is RecordKind.OP]
     for r in ops:
-        new_storage, emitted = replay_step(registry, trace.meta, r)
+        new_storage, emitted = replay_step(registry, r)
         if new_storage != r.storage_after:
             problems.append(f"record {r.index}: replay produced different storage")
         if emitted != r.emitted:

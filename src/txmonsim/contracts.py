@@ -117,6 +117,34 @@ def _passive(view, param, money, storage, balance) -> StepResult:
 # Lenders
 
 
+def _grant(param: Value, balance: int) -> tuple[Operation, int]:
+    """The transfer and amount answering a loan request rec{dest, amount};
+    a request above the lender's balance fails the contract."""
+    r = as_rec(param)
+    dest, amount = as_addr(r.get("dest")), as_amt(r.get("amount"))
+    require(amount <= balance, "insufficient funds for loan")
+    return call(dest, "receive", money=amount), amount
+
+
+def _lend(view, param, money, storage, balance) -> StepResult:
+    """Grant the loan; hooks outside the method enforce repayment."""
+    return StepOk(storage, (_grant(param, balance)[0],))
+
+
+def _baselined(view, storage: Value, balance: int) -> VRec:
+    """The storage with its balance baseline reset on a transaction's first call."""
+    s = as_rec(storage)
+    return s.set("initial_balance", VAmt(balance)) if view.first else s
+
+
+def _recheck(addr: Address) -> Operation:
+    return call(addr, "check_balance", recurring=True)
+
+
+def _receive_recheck(view, param, money, storage, balance) -> StepResult:
+    return StepOk(storage, (_recheck(view.self_addr),))
+
+
 def lender_naive(params: Params, balance: int) -> Builtin:
     """Defensive lender: demands the loan back before its own call frame ends.
 
@@ -127,15 +155,9 @@ def lender_naive(params: Params, balance: int) -> Builtin:
     """
 
     def lend(view, param, money, storage, balance):
-        r = as_rec(param)
-        dest, amount = as_addr(r.get("dest")), as_amt(r.get("amount"))
-        require(amount <= balance, "insufficient funds for loan")
+        transfer, _ = _grant(param, balance)
         return StepOk(
-            storage,
-            (
-                call(dest, "receive", money=amount),
-                call(view.self_addr, "after_lend", param=VAmt(balance)),
-            ),
+            storage, (transfer, call(view.self_addr, "after_lend", param=VAmt(balance)))
         )
 
     def after_lend(view, param, money, storage, balance):
@@ -151,12 +173,6 @@ def lender_trmon(params: Params, balance: int) -> Builtin:
     """Lender guarded by transaction-monitor hooks: the starting balance is
     captured before its first operation and re-checked after the drain."""
 
-    def lend(view, param, money, storage, balance):
-        r = as_rec(param)
-        dest, amount = as_addr(r.get("dest")), as_amt(r.get("amount"))
-        require(amount <= balance, "insufficient funds for loan")
-        return StepOk(storage, (call(dest, "receive", money=amount),))
-
     def init(storage, balance, ms):
         return VAmt(balance)
 
@@ -164,7 +180,7 @@ def lender_trmon(params: Params, balance: int) -> Builtin:
         require(balance >= as_amt(ms), "balance fell over the transaction")
 
     return Builtin(
-        ContractDef(step=methods(lend=lend, receive=_passive), init=init, term=term),
+        ContractDef(step=methods(lend=_lend, receive=_passive), init=init, term=term),
         monitor_storage=VAmt(0),
     )
 
@@ -173,12 +189,6 @@ def lender_ustore(params: Params, balance: int) -> Builtin:
     """Lender guarded by an unbounded storage hookup that asserts the balance
     did not drop and then re-baselines it."""
 
-    def lend(view, param, money, storage, balance):
-        r = as_rec(param)
-        dest, amount = as_addr(r.get("dest")), as_amt(r.get("amount"))
-        require(amount <= balance, "insufficient funds for loan")
-        return StepOk(storage, (call(dest, "receive", money=amount),))
-
     def hookup(storage, balance):
         s = as_rec(storage)
         require(balance >= as_amt(s.get("initial_balance")), "loan not repaid")
@@ -186,7 +196,7 @@ def lender_ustore(params: Params, balance: int) -> Builtin:
 
     return Builtin(
         ContractDef(
-            step=methods(lend=lend, receive=_passive),
+            step=methods(lend=_lend, receive=_passive),
             ustore_hook=hookup,
             mechanism_uses=frozenset({Mechanism.USTORE}),
         ),
@@ -203,14 +213,10 @@ def lender_first_fail(params: Params, balance: int) -> Builtin:
         view.set_fail(effective_balance < as_amt(s.get("initial_balance")))
 
     def lend(view, param, money, storage, balance):
-        r = as_rec(param)
-        dest, amount = as_addr(r.get("dest")), as_amt(r.get("amount"))
-        s = as_rec(storage)
-        if view.first:
-            s = s.set("initial_balance", VAmt(balance))
-        require(amount <= balance, "insufficient funds for loan")
+        s = _baselined(view, storage, balance)
+        transfer, amount = _grant(param, balance)
         _check(view, s, balance - amount)
-        return StepOk(s, (call(dest, "receive", money=amount),))
+        return StepOk(s, (transfer,))
 
     def receive(view, param, money, storage, balance):
         s = as_rec(storage)
@@ -231,32 +237,19 @@ def lender_bfs_first(params: Params, balance: int) -> Builtin:
     re-injects itself while the balance is below the baseline, so an unpaid
     loan burns the rest of the gas."""
 
-    def _check_op(addr: Address) -> Operation:
-        return call(addr, "check_balance", recurring=True)
-
     def lend(view, param, money, storage, balance):
-        r = as_rec(param)
-        dest, amount = as_addr(r.get("dest")), as_amt(r.get("amount"))
-        s = as_rec(storage)
-        if view.first:
-            s = s.set("initial_balance", VAmt(balance))
-        require(amount <= balance, "insufficient funds for loan")
-        return StepOk(
-            s, (call(dest, "receive", money=amount), _check_op(view.self_addr))
-        )
-
-    def receive(view, param, money, storage, balance):
-        return StepOk(storage, (_check_op(view.self_addr),))
+        s = _baselined(view, storage, balance)
+        return StepOk(s, (_grant(param, balance)[0], _recheck(view.self_addr)))
 
     def check_balance(view, param, money, storage, balance):
         s = as_rec(storage)
         if balance < as_amt(s.get("initial_balance")):
-            return StepOk(s, (_check_op(view.self_addr),))
+            return StepOk(s, (_recheck(view.self_addr),))
         return StepOk(s)
 
     return Builtin(
         ContractDef(
-            step=methods(lend=lend, receive=receive, check_balance=check_balance),
+            step=methods(lend=lend, receive=_receive_recheck, check_balance=check_balance),
             recurring_methods=frozenset({"check_balance"}),
             mechanism_uses=frozenset({Mechanism.FIRST}),
         ),
@@ -269,30 +262,19 @@ def lender_bfs_queue(params: Params, balance: int) -> Builtin:
     recurring operations remain, then asserts the balance and re-baselines;
     the failing case aborts explicitly rather than by gas exhaustion."""
 
-    def _check_op(addr: Address) -> Operation:
-        return call(addr, "check_balance", recurring=True)
-
     def lend(view, param, money, storage, balance):
-        r = as_rec(param)
-        dest, amount = as_addr(r.get("dest")), as_amt(r.get("amount"))
-        require(amount <= balance, "insufficient funds for loan")
-        return StepOk(
-            storage, (call(dest, "receive", money=amount), _check_op(view.self_addr))
-        )
-
-    def receive(view, param, money, storage, balance):
-        return StepOk(storage, (_check_op(view.self_addr),))
+        return StepOk(storage, (_grant(param, balance)[0], _recheck(view.self_addr)))
 
     def check_balance(view, param, money, storage, balance):
         s = as_rec(storage)
         if view.queue:
             require(balance >= as_amt(s.get("initial_balance")), "loan not repaid")
             return StepOk(s.set("initial_balance", VAmt(balance)))
-        return StepOk(s, (_check_op(view.self_addr),))
+        return StepOk(s, (_recheck(view.self_addr),))
 
     return Builtin(
         ContractDef(
-            step=methods(lend=lend, receive=receive, check_balance=check_balance),
+            step=methods(lend=lend, receive=_receive_recheck, check_balance=check_balance),
             recurring_methods=frozenset({"check_balance"}),
             mechanism_uses=frozenset({Mechanism.QUEUE}),
         ),
@@ -302,6 +284,33 @@ def lender_bfs_queue(params: Params, balance: int) -> Builtin:
 
 # ---------------------------------------------------------------------------
 # Clients and plumbing
+
+
+def _loan_request(lender: Address, me: VAddr, amount: int) -> Operation:
+    return call(lender, "lend", param=VRec({"dest": me, "amount": VAmt(amount)}))
+
+
+Stage = Callable[[VAddr], tuple[Operation, ...]]
+
+
+def _staged(lender: Address, amount: int, stages: tuple[Stage, ...]) -> Builtin:
+    """Reactive client: `borrow_and_invest` requests `amount` from `lender`;
+    the k-th payment it receives issues `stages[k](own address)`, and once
+    the stages run out a payment issues nothing."""
+
+    def borrow_and_invest(view, param, money, storage, balance):
+        return StepOk(storage, (_loan_request(lender, VAddr(view.self_addr), amount),))
+
+    def receive(view, param, money, storage, balance):
+        s = as_rec(storage)
+        stage = as_int(s.get("stage"))
+        ops = stages[stage](VAddr(view.self_addr)) if stage < len(stages) else ()
+        return StepOk(s.set("stage", VInt(stage + 1)), ops)
+
+    return Builtin(
+        ContractDef(step=methods(borrow_and_invest=borrow_and_invest, receive=receive)),
+        storage=VRec({"stage": VInt(0)}),
+    )
 
 
 def client_two_loans(params: Params, balance: int) -> Builtin:
@@ -316,8 +325,8 @@ def client_two_loans(params: Params, balance: int) -> Builtin:
         return StepOk(
             storage,
             (
-                call(l1, "lend", param=VRec({"dest": me, "amount": VAmt(a1)})),
-                call(l2, "lend", param=VRec({"dest": me, "amount": VAmt(a2)})),
+                _loan_request(l1, me, a1),
+                _loan_request(l2, me, a2),
                 call(sink, "invest", param=me, money=a1 + a2),
                 call(l1, "receive", money=a1),
                 call(l2, "receive", money=a2),
@@ -336,58 +345,18 @@ def client_two_loans_staged(params: Params, balance: int) -> Builtin:
     l1, l2 = _addr(params, "l1"), _addr(params, "l2")
     sink = _addr(params, "sink")
     a1, a2 = _amt(params, "amount1"), _amt(params, "amount2")
-
-    def borrow_and_invest(view, param, money, storage, balance):
-        me = VAddr(view.self_addr)
-        return StepOk(
-            storage,
-            (call(l1, "lend", param=VRec({"dest": me, "amount": VAmt(a1)})),),
-        )
-
-    def receive(view, param, money, storage, balance):
-        s = as_rec(storage)
-        stage = as_int(s.get("stage"))
-        me = VAddr(view.self_addr)
-        if stage == 0:
-            ops = (call(l2, "lend", param=VRec({"dest": me, "amount": VAmt(a2)})),)
-        elif stage == 1:
-            ops = (call(sink, "invest", param=me, money=a1 + a2),)
-        elif stage == 2:
-            ops = (call(l1, "receive", money=a1), call(l2, "receive", money=a2))
-        else:
-            ops = ()
-        return StepOk(s.set("stage", VInt(stage + 1)), ops)
-
-    return Builtin(
-        ContractDef(step=methods(borrow_and_invest=borrow_and_invest, receive=receive)),
-        storage=VRec({"stage": VInt(0)}),
-    )
+    return _staged(l1, a1, (
+        lambda me: (_loan_request(l2, me, a2),),
+        lambda me: (call(sink, "invest", param=me, money=a1 + a2),),
+        lambda me: (call(l1, "receive", money=a1), call(l2, "receive", money=a2)),
+    ))
 
 
 def client_malicious(params: Params, balance: int) -> Builtin:
     """Borrows, invests, and never repays."""
     lender, sink = _addr(params, "l"), _addr(params, "sink")
     amount = _amt(params, "amount")
-
-    def borrow_and_invest(view, param, money, storage, balance):
-        me = VAddr(view.self_addr)
-        return StepOk(
-            storage,
-            (call(lender, "lend", param=VRec({"dest": me, "amount": VAmt(amount)})),),
-        )
-
-    def receive(view, param, money, storage, balance):
-        s = as_rec(storage)
-        stage = as_int(s.get("stage"))
-        ops = ()
-        if stage == 0:
-            ops = (call(sink, "invest", param=VAddr(view.self_addr), money=amount),)
-        return StepOk(s.set("stage", VInt(stage + 1)), ops)
-
-    return Builtin(
-        ContractDef(step=methods(borrow_and_invest=borrow_and_invest, receive=receive)),
-        storage=VRec({"stage": VInt(0)}),
-    )
+    return _staged(lender, amount, (lambda me: (call(sink, "invest", param=me, money=amount),),))
 
 
 def client_partial(params: Params, balance: int) -> Builtin:
@@ -397,29 +366,10 @@ def client_partial(params: Params, balance: int) -> Builtin:
     repay = _amt(params, "repay_amount")
     if repay > amount:
         raise ScenarioError("partial client repays at most the loan")
-
-    def borrow_and_invest(view, param, money, storage, balance):
-        me = VAddr(view.self_addr)
-        return StepOk(
-            storage,
-            (call(lender, "lend", param=VRec({"dest": me, "amount": VAmt(amount)})),),
-        )
-
-    def receive(view, param, money, storage, balance):
-        s = as_rec(storage)
-        stage = as_int(s.get("stage"))
-        if stage == 0:
-            ops = (call(sink, "invest", param=VAddr(view.self_addr), money=amount),)
-        elif stage == 1:
-            ops = (call(lender, "receive", money=repay),)
-        else:
-            ops = ()
-        return StepOk(s.set("stage", VInt(stage + 1)), ops)
-
-    return Builtin(
-        ContractDef(step=methods(borrow_and_invest=borrow_and_invest, receive=receive)),
-        storage=VRec({"stage": VInt(0)}),
-    )
+    return _staged(lender, amount, (
+        lambda me: (call(sink, "invest", param=me, money=amount),),
+        lambda me: (call(lender, "receive", money=repay),),
+    ))
 
 
 def invest_sink(params: Params, balance: int) -> Builtin:
@@ -635,7 +585,7 @@ BUILTINS: dict[str, Callable[[Params, int], Builtin]] = {
 
 
 def build(name: str, params: Params, balance: int) -> Builtin:
-    factory = BUILTINS.get(name)
+    factory = BUILTINS.get(name) if isinstance(name, str) else None
     if factory is None:
         raise ScenarioError(f"unknown builtin contract {name!r}")
     try:

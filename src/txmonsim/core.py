@@ -288,9 +288,6 @@ class ChainState:
     def monitor_storage(self, addr: Address) -> Value:
         return self.get(addr).monitor_storage
 
-    def addresses(self) -> tuple[Address, ...]:
-        return tuple(self._accounts)
-
     def total_supply(self) -> int:
         return sum(a.balance for a in self._accounts.values())
 
@@ -364,19 +361,16 @@ def storage_digest(state: ChainState) -> str:
 
 @dataclass(frozen=True)
 class Context:
-    """Block metadata plus transaction-scoped bookkeeping.
+    """Transaction-scoped bookkeeping.
 
     counts/fail_bits/txmem start empty in every transaction;
     gas_remaining only ever decreases within one.
     """
 
-    block_level: int = 0
-    timestamp: int = 0
     gas_remaining: int = 0
     counts: Mapping[Address, int] = field(default_factory=dict)
     fail_bits: Mapping[Address, bool] = field(default_factory=dict)
     txmem: Mapping[Address, Value] = field(default_factory=dict)
-    tx_money: int = 0
 
     @property
     def visited(self) -> tuple[Address, ...]:

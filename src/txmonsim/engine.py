@@ -125,8 +125,6 @@ class Engine:
         state: ChainState,
         external: Operation,
         gas_limit: Optional[int] = None,
-        block_level: int = 0,
-        timestamp: int = 0,
     ) -> TxResult:
         cfg = self.config
         gas = cfg.gas_limit if gas_limit is None else gas_limit
@@ -135,20 +133,13 @@ class Engine:
         self._validate_external(state, external)
 
         pre = state
-        ctx = Context(
-            block_level=block_level,
-            timestamp=timestamp,
-            gas_remaining=gas,
-            tx_money=external.money,
-        )
+        ctx = Context(gas_remaining=gas)
         meta = TraceMeta(
             scheduler=cfg.scheduler,
             monitor_mode=cfg.monitor_mode,
             mechanisms=cfg.mechanisms,
             gas_limit=gas,
             external=external,
-            block_level=block_level,
-            timestamp=timestamp,
         )
         records: list[StepRecord] = []
         tx = RunningTx(state=state, ctx=ctx, queue=(external,))
@@ -432,9 +423,7 @@ class Engine:
         )
 
 
-def replay_step(
-    registry: Registry, meta: TraceMeta, record: StepRecord
-) -> tuple[Value, tuple[Operation, ...]]:
+def replay_step(registry: Registry, record: StepRecord) -> tuple[Value, tuple[Operation, ...]]:
     """Re-run an Op record's step function from its recorded inputs; returns
     the storage and (src-stamped) emissions the step produces on replay."""
     if record.kind is not RecordKind.OP or record.executed is None:
@@ -450,9 +439,6 @@ def replay_step(
     inputs = SimpleNamespace(
         self_addr=record.subject,
         storage=record.storage_before,
-        block_level=meta.block_level,
-        timestamp=meta.timestamp,
-        tx_money=meta.external.money,
         note_reading=lambda name, value: None,
     )
     view = DerivedView(

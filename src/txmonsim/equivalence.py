@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass, field, replace
 from typing import Callable, Mapping, Optional
 
-from .contracts import call, callspec, forwarder_B, sink_C
+from .contracts import call, callspec, forwarder_B, lender_trmon, once_monitored_A, sink_C
 from .core import (
     Account,
     ChainState,
@@ -195,36 +195,15 @@ def make_subject(profile: str, hook_spec: tuple = ()) -> tuple[ContractDef, Valu
             contract, ustore_hook=uhook, mechanism_uses=frozenset({Mechanism.USTORE})
         )
     elif profile == "monitor":
-        kind = hook_spec[0]
-        if kind == "once":
-            contract = replace(
-                contract,
-                init=lambda storage, balance, ms: VInt(0),
-                begin=lambda method, param, money, ms: VInt(as_int(ms) + 1),
-                end=lambda emitted, new_storage, ms: ms,
-                term=lambda storage, balance, ms: _require(
-                    as_int(ms) != 1, "called exactly once"
-                ),
-            )
-            monitor_storage = VInt(0)
-        else:  # balance floor
-            contract = replace(
-                contract,
-                init=lambda storage, balance, ms: VAmt(balance),
-                term=lambda storage, balance, ms: _require(
-                    balance >= as_amt(ms), "balance fell over the transaction"
-                ),
-            )
-            monitor_storage = VAmt(0)
+        # The library's only-once monitor, or its lender's balance floor.
+        policy = (once_monitored_A if hook_spec[0] == "once" else lender_trmon)({}, 0)
+        p = policy.contract
+        contract = replace(contract, init=p.init, begin=p.begin, end=p.end, term=p.term)
+        monitor_storage = policy.monitor_storage
     elif profile != "plain":
         raise ValueError(f"unknown profile {profile!r}")
 
     return contract, storage, monitor_storage
-
-
-def _require(cond: bool, msg: str) -> None:
-    if not cond:
-        raise ContractError(msg)
 
 
 # ---------------------------------------------------------------------------

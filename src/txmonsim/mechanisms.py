@@ -95,20 +95,6 @@ class ContextView:
     fail_write: Optional[bool] = None
     txmem_value: Optional[Value] = None
 
-    # -- block / transaction metadata --------------------------------------
-
-    @property
-    def block_level(self) -> int:
-        return self.ctx.block_level
-
-    @property
-    def timestamp(self) -> int:
-        return self.ctx.timestamp
-
-    @property
-    def tx_money(self) -> int:
-        return self.ctx.tx_money
-
     # -- mechanism queries ---------------------------------------------------
 
     def _require(self, mech: Mechanism) -> None:

@@ -76,6 +76,9 @@ class ScenarioSpec:
     transactions: tuple[TxSpec, ...]
 
     def __post_init__(self) -> None:
+        for account in self.contracts + self.externals:
+            if not isinstance(account.addr, str):
+                raise ScenarioError(f"address {account.addr!r} is not a string")
         declared = {c.addr for c in self.contracts} | {e.addr for e in self.externals}
         if len(declared) != len(self.contracts) + len(self.externals):
             raise ScenarioError("duplicate addresses in scenario")
@@ -348,8 +351,27 @@ def _certify(report: CounterexampleReport) -> CounterexampleReport:
 A, B, C, EXT = "A", "B", "C", "ext"
 
 
-def _forward_plan(*specs: VRec) -> Value:
-    return VSeq(tuple(specs))
+def _forwarding(a_builtin: str, **params) -> list[ContractSpec]:
+    """A runs `a_builtin` with `params`, B replays the plan it is sent, C
+    accepts any call."""
+    return [
+        ContractSpec(A, a_builtin, params),
+        ContractSpec(B, "forwarder_B"),
+        ContractSpec(C, "sink_C"),
+    ]
+
+
+def _txs(
+    engine: EngineConfig, contracts: Sequence[ContractSpec], *txs: TxSpec
+) -> tuple[TxResult, ...]:
+    """Run `txs` in order from one fresh state of `contracts`."""
+    spec = ScenarioSpec(
+        engine=engine,
+        contracts=tuple(contracts),
+        externals=(ExternalSpec(EXT, 0),),
+        transactions=txs,
+    )
+    return run_scenario(spec, debug=True).results
 
 
 def _single_tx(
@@ -359,13 +381,7 @@ def _single_tx(
     method: str,
     param: Value,
 ) -> TxResult:
-    spec = ScenarioSpec(
-        engine=engine,
-        contracts=tuple(contracts),
-        externals=(ExternalSpec(EXT, 0),),
-        transactions=(TxSpec(dest=dest, method=method, param=param),),
-    )
-    return run_scenario(spec, debug=True).results[0]
+    return _txs(engine, contracts, TxSpec(dest, method, param))[0]
 
 
 def _runs(results: Mapping[str, TxResult]) -> dict:
@@ -384,8 +400,8 @@ def _probe_runs(
 ) -> dict:
     """B forwards to A with a third-party call to C pending (busy) or not
     (quiet), once to the plain contracts and once to the probing ones."""
-    busy = _forward_plan(callspec(A), callspec(C))
-    quiet = _forward_plan(callspec(A))
+    busy = VSeq((callspec(A), callspec(C)))
+    quiet = VSeq((callspec(A),))
     return _runs({
         "busy_plain": _single_tx(plain_engine, plain, B, "run", busy),
         "quiet_plain": _single_tx(plain_engine, plain, B, "run", quiet),
@@ -405,13 +421,9 @@ def run_dfs_only_once() -> CounterexampleReport:
         mechanisms=frozenset({Mechanism.FIRST, Mechanism.QUEUE}),
         monitor_mode=MonitorMode.TRANSACTION,
     )
-    contracts = [
-        ContractSpec(A, "once_monitored_A", {"probe": ("first", "queue")}),
-        ContractSpec(B, "forwarder_B"),
-        ContractSpec(C, "sink_C"),
-    ]
-    one = _forward_plan(callspec(A), callspec(C))
-    two = _forward_plan(callspec(A), callspec(A), callspec(C))
+    contracts = _forwarding("once_monitored_A", probe=("first", "queue"))
+    one = VSeq((callspec(A), callspec(C)))
+    two = VSeq((callspec(A), callspec(A), callspec(C)))
     report = CounterexampleReport(
         name="dfs_only_once",
         **_runs({
@@ -457,19 +469,11 @@ def run_dfs_no_queue() -> CounterexampleReport:
     probe_engine = EngineConfig(
         scheduler=SchedulerKind.DFS, gas_limit=100, mechanisms=frozenset({Mechanism.QUEUE})
     )
-    plain = [
-        ContractSpec(A, "sink_C"),
-        ContractSpec(B, "forwarder_B"),
-        ContractSpec(C, "sink_C"),
-    ]
-    probing = [
-        ContractSpec(A, "queue_prober_A"),
-        ContractSpec(B, "forwarder_B"),
-        ContractSpec(C, "sink_C"),
-    ]
     report = CounterexampleReport(
         name="dfs_no_queue",
-        **_probe_runs(plain_engine, plain, probe_engine, probing),
+        **_probe_runs(
+            plain_engine, _forwarding("sink_C"), probe_engine, _forwarding("queue_prober_A")
+        ),
         queue_claims=(
             QueueClaim("busy_plain", (("A.ping", "C.ping"),)),
             QueueClaim("quiet_plain", (("A.ping",),)),
@@ -507,30 +511,13 @@ def run_dfs_fail_queue() -> CounterexampleReport:
     native_engine = EngineConfig(
         scheduler=SchedulerKind.DFS, gas_limit=100, monitor_mode=MonitorMode.TRANSACTION
     )
-    contracts = [
-        ContractSpec(A, "parity_fail_A", {"probe": ("queue",)}),
-        ContractSpec(B, "forwarder_B"),
-        ContractSpec(C, "sink_C"),
-    ]
-    native_contracts = [
-        ContractSpec(A, "once_monitored_A"),
-        ContractSpec(B, "forwarder_B"),
-        ContractSpec(C, "sink_C"),
-    ]
+    contracts = _forwarding("parity_fail_A", probe=("queue",))
+    native_contracts = _forwarding("once_monitored_A")
 
     def plan(calls: int) -> Value:
-        return _forward_plan(*([callspec(A)] * calls), callspec(C))
+        return VSeq((callspec(A),) * calls + (callspec(C),))
 
-    seq_spec = ScenarioSpec(
-        engine=engine,
-        contracts=tuple(contracts),
-        externals=(ExternalSpec(EXT, 0),),
-        transactions=(
-            TxSpec(dest=B, method="run", param=plan(2)),
-            TxSpec(dest=B, method="run", param=plan(1)),
-        ),
-    )
-    seq = run_scenario(seq_spec, debug=True).results
+    seq = _txs(engine, contracts, TxSpec(B, "run", plan(2)), TxSpec(B, "run", plan(1)))
     report = CounterexampleReport(
         name="dfs_fail_queue",
         **_runs({
@@ -589,16 +576,7 @@ def run_bfs_only_once() -> CounterexampleReport:
         return VRec({"k": VInt(k), "a": VAddr(A)})
 
     single = VRec({"a": VAddr(A)})
-    seq_spec = ScenarioSpec(
-        engine=engine,
-        contracts=tuple(contracts),
-        externals=(ExternalSpec(EXT, 0),),
-        transactions=(
-            TxSpec(dest=B, method="start", param=start(0)),
-            TxSpec(dest=B, method="call_a", param=single),
-        ),
-    )
-    seq = run_scenario(seq_spec, debug=True).results
+    seq = _txs(engine, contracts, TxSpec(B, "start", start(0)), TxSpec(B, "call_a", single))
     report = CounterexampleReport(
         name="bfs_only_once",
         **_runs({
@@ -695,19 +673,11 @@ def run_bfs_queue_gap() -> CounterexampleReport:
     probe_engine = EngineConfig(
         scheduler=SchedulerKind.BFS, gas_limit=100, mechanisms=frozenset({Mechanism.QUEUE})
     )
-    plain = [
-        ContractSpec(A, "ustore_echo_A"),
-        ContractSpec(B, "forwarder_B"),
-        ContractSpec(C, "sink_C"),
-    ]
-    probing = [
-        ContractSpec(A, "queue_prober_A"),
-        ContractSpec(B, "forwarder_B"),
-        ContractSpec(C, "sink_C"),
-    ]
     report = CounterexampleReport(
         name="bfs_queue_gap",
-        **_probe_runs(plain_engine, plain, probe_engine, probing),
+        **_probe_runs(
+            plain_engine, _forwarding("ustore_echo_A"), probe_engine, _forwarding("queue_prober_A")
+        ),
         obs_claims=(
             ObsClaim(
                 "busy_plain", "quiet_plain", A, upto=1, expect_equal=True,

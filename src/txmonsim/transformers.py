@@ -19,6 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
+from .contracts import call
 from .core import (
     Address,
     ContractDef,
@@ -64,10 +65,6 @@ def _require_uses(c: ContractDef, allowed: frozenset[Mechanism], name: str) -> N
             f"{name} needs a contract using only {sorted(m.value for m in allowed)}, "
             f"got extra {sorted(m.value for m in extra)}"
         )
-
-
-def _self_call(addr: Address, method: str) -> Operation:
-    return Operation(dest=addr, src="", method=method, recurring=True)
 
 
 def _stamp(emitted: tuple[Operation, ...], addr: Address) -> tuple[Operation, ...]:
@@ -330,7 +327,7 @@ def sim_fail_via_recurring_bfs(c: ContractDef) -> TransformedContract:
         s = as_rec(storage)
         if method == FAIL_POLL:
             if as_bool(s.get("fl")):
-                return StepOk(s, (_self_call(view.self_addr, FAIL_POLL),))
+                return StepOk(s, (call(view.self_addr, FAIL_POLL, recurring=True),))
             return StepOk(s.set("poll", VBool(False)))
         bit = [as_bool(s.get("fl"))]
         res = c.step(
@@ -342,7 +339,7 @@ def sim_fail_via_recurring_bfs(c: ContractDef) -> TransformedContract:
         emitted = res.emitted
         poll = as_bool(s.get("poll"))
         if bit[0] and not poll:
-            emitted = emitted + (_self_call(view.self_addr, FAIL_POLL),)
+            emitted = emitted + (call(view.self_addr, FAIL_POLL, recurring=True),)
             poll = True
         return StepOk(
             VRec({"base": res.new_storage, "fl": VBool(bit[0]), "poll": VBool(poll)}),
@@ -386,7 +383,7 @@ def sim_ustore_via_first_bfs(c: ContractDef) -> TransformedContract:
             parked, ok = evaluate(s.get("live"), bal0 + recv - sent)
             if ok:
                 return StepOk(s.set("shadow", parked).set("poll", VBool(False)))
-            return StepOk(s, (_self_call(view.self_addr, USTORE_POLL),))
+            return StepOk(s, (call(view.self_addr, USTORE_POLL, recurring=True),))
         first = view.first
         bal0, recv, sent = _ledger(first, s, balance, money)
         live = s.get("shadow") if first else s.get("live")
@@ -401,7 +398,7 @@ def sim_ustore_via_first_bfs(c: ContractDef) -> TransformedContract:
         if ok:
             shadow = parked
         elif not poll:
-            emitted = emitted + (_self_call(view.self_addr, USTORE_POLL),)
+            emitted = emitted + (call(view.self_addr, USTORE_POLL, recurring=True),)
             poll = True
         fields = {"live": res.new_storage, "shadow": shadow, "poll": VBool(poll)}
         return StepOk(VRec({**fields, **_ledger_fields(bal0, recv, sent)}), emitted)
@@ -428,7 +425,7 @@ def sim_ustore_via_queue_bfs(c: ContractDef) -> TransformedContract:
         s = as_rec(storage)
         if method == USTORE_CHECK:
             if not view.queue:
-                return StepOk(s, (_self_call(view.self_addr, USTORE_CHECK),))
+                return StepOk(s, (call(view.self_addr, USTORE_CHECK, recurring=True),))
             new_base = hook(s.get("base"), balance)
             return StepOk(s.set("base", new_base).set("check", VBool(False)))
         res = c.step(view, method, param, money, s.get("base"), balance)
@@ -437,7 +434,7 @@ def sim_ustore_via_queue_bfs(c: ContractDef) -> TransformedContract:
         emitted = res.emitted
         check = as_bool(s.get("check"))
         if not check:
-            emitted = emitted + (_self_call(view.self_addr, USTORE_CHECK),)
+            emitted = emitted + (call(view.self_addr, USTORE_CHECK, recurring=True),)
             check = True
         return StepOk(VRec({"base": res.new_storage, "check": VBool(check)}), emitted)
 

@@ -294,6 +294,21 @@ def _scenario_with_list_dest():
     return "run", text, "malformed scenario: unhashable type"
 
 
+def _scenario_with_int_addr():
+    text = _only_once_scenario(lambda o: o["contracts"][0].update(addr=5))
+    return "run", text, "malformed scenario: address 5 is not a string"
+
+
+def _scenario_with_int_external_addr():
+    text = _only_once_scenario(lambda o: o["externals"][0].update(addr=5))
+    return "run", text, "malformed scenario: address 5 is not a string"
+
+
+def _scenario_with_list_builtin():
+    text = _only_once_scenario(lambda o: o["contracts"][0].update(builtin=["x"]))
+    return "run", text, "unknown builtin contract ['x']"
+
+
 @pytest.mark.parametrize(
     "malformed",
     [
@@ -307,6 +322,9 @@ def _scenario_with_list_dest():
         _scenario_with_int_param,
         _scenario_with_list_params,
         _scenario_with_list_dest,
+        _scenario_with_int_addr,
+        _scenario_with_int_external_addr,
+        _scenario_with_list_builtin,
     ],
 )
 def test_malformed_trace_and_report_files_exit_two(runner, tmp_path, malformed):
