@@ -392,14 +392,10 @@ def _runs(results: Mapping[str, TxResult]) -> dict:
     }
 
 
-def _probe_runs(
-    plain_engine: EngineConfig,
-    plain: Sequence[ContractSpec],
-    probe_engine: EngineConfig,
-    probing: Sequence[ContractSpec],
-) -> dict:
+def _probe_runs(plain_engine: EngineConfig, plain_a: str, probe_engine: EngineConfig) -> dict:
     """B forwards to A with a third-party call to C pending (busy) or not
-    (quiet), once to the plain contracts and once to the probing ones."""
+    (quiet), once with A running `plain_a` and once with A the queue prober."""
+    plain, probing = _forwarding(plain_a), _forwarding("queue_prober_A")
     busy = VSeq((callspec(A), callspec(C)))
     quiet = VSeq((callspec(A),))
     return _runs({
@@ -471,9 +467,7 @@ def run_dfs_no_queue() -> CounterexampleReport:
     )
     report = CounterexampleReport(
         name="dfs_no_queue",
-        **_probe_runs(
-            plain_engine, _forwarding("sink_C"), probe_engine, _forwarding("queue_prober_A")
-        ),
+        **_probe_runs(plain_engine, "sink_C", probe_engine),
         queue_claims=(
             QueueClaim("busy_plain", (("A.ping", "C.ping"),)),
             QueueClaim("quiet_plain", (("A.ping",),)),
@@ -675,9 +669,7 @@ def run_bfs_queue_gap() -> CounterexampleReport:
     )
     report = CounterexampleReport(
         name="bfs_queue_gap",
-        **_probe_runs(
-            plain_engine, _forwarding("ustore_echo_A"), probe_engine, _forwarding("queue_prober_A")
-        ),
+        **_probe_runs(plain_engine, "ustore_echo_A", probe_engine),
         obs_claims=(
             ObsClaim(
                 "busy_plain", "quiet_plain", A, upto=1, expect_equal=True,

@@ -84,6 +84,7 @@ def main() -> None:
     seconds = bench["run_seconds"]
     parent_sha = git("rev-parse", parent_ref)
     head = git("rev-parse", "--short", "HEAD")
+    edited = bool(git("status", "--porcelain", "--untracked-files=no"))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_dir = Path(tmp) / "parent"
         git("worktree", "add", "--detach", str(parent_dir), parent_sha)
@@ -107,7 +108,7 @@ def main() -> None:
     result = {
         "parent": parent_sha,
         "change": git("rev-parse", "HEAD"),
-        "change_has_uncommitted_edits": bool(git("status", "--porcelain", "--untracked-files=no")),
+        "change_has_uncommitted_edits": edited,
         "pairs": pairs,
         "run_seconds": seconds,
         "python": platform.python_version(),
