@@ -20,6 +20,7 @@ from txmonsim.core import (
     InsufficientBalance,
     MonitorMode,
     Operation,
+    RecordKind,
     RecurringEscape,
     ScenarioError,
     SchedulerKind,
@@ -351,3 +352,23 @@ def test_step_raising_a_non_contract_error_is_a_named_harness_fault():
     with pytest.raises(ScenarioError, match=r"step A\.boom at record 1 raised TypeError") as info:
         run_one(registry, state, external("A"))
     assert isinstance(info.value.__cause__, TypeError)
+
+
+def test_suites_write_every_record_kind(monkeypatch):
+    # The golden hashes pin the record builder only for the kinds the suites
+    # write, so the suites must keep writing every kind.
+    from txmonsim.scenarios import counterexample_suite, run_flashloan_suite
+
+    results = []
+    original = Engine.run_transaction
+
+    def recording(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(Engine, "run_transaction", recording)
+    counterexample_suite()
+    run_flashloan_suite()
+    kinds = {r.kind for res in results for r in res.trace.records}
+    assert kinds == set(RecordKind)
