@@ -14,7 +14,7 @@ amount. Call/return is modelled with explicit continuation operations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional
+from typing import Callable, Mapping
 
 from .core import (
     Address,
@@ -97,13 +97,16 @@ Params = Mapping[str, object]
 
 def _addr(params: Params, key: str) -> Address:
     try:
-        return str(params[key])
+        value = params[key]
     except KeyError:
         raise ScenarioError(f"builtin needs address parameter {key!r}") from None
+    if not isinstance(value, str):
+        raise ScenarioError(f"builtin address parameter {key!r} is not a string: {value!r}")
+    return value
 
 
-def _amt(params: Params, key: str, default: Optional[int] = None) -> int:
-    value = params.get(key, default)
+def _amt(params: Params, key: str) -> int:
+    value = params.get(key)
     if value is None:
         raise ScenarioError(f"builtin needs amount parameter {key!r}")
     return int(value)  # type: ignore[arg-type]

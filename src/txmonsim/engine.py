@@ -60,7 +60,7 @@ from .core import (
     digest,
     storage_digest,
 )
-from .mechanisms import ContextView, DerivedView, end_of_tx_fail_check, fold_effects, run_hookups
+from .mechanisms import ContextView, DerivedView, fold_effects, run_hookups
 
 OP_COST = 1
 EMIT_COST = 1
@@ -120,25 +120,16 @@ class Engine:
 
     # -- public API ---------------------------------------------------------
 
-    def run_transaction(
-        self,
-        state: ChainState,
-        external: Operation,
-        gas_limit: Optional[int] = None,
-    ) -> TxResult:
+    def run_transaction(self, state: ChainState, external: Operation) -> TxResult:
         cfg = self.config
-        gas = cfg.gas_limit if gas_limit is None else gas_limit
-        if gas < 1:
-            raise ScenarioError("gas limit must be at least 1")
         self._validate_external(state, external)
 
-        pre = state
-        ctx = Context(gas_remaining=gas)
+        ctx = Context(gas_remaining=cfg.gas_limit)
         meta = TraceMeta(
             scheduler=cfg.scheduler,
             monitor_mode=cfg.monitor_mode,
             mechanisms=cfg.mechanisms,
-            gas_limit=gas,
+            gas_limit=cfg.gas_limit,
             external=external,
         )
         records: list[StepRecord] = []
@@ -186,7 +177,7 @@ class Engine:
                 except ContractError:
                     return MonitorInitFail(op.dest)
                 state = state.with_monitor_storage(op.dest, new_ms)
-            self._hook_record(records, RecordKind.INIT, op.dest, state, ctx.gas_remaining, queue)
+            self._record(records, RecordKind.INIT, op.dest, state, ctx.gas_remaining, queue)
 
         if cfg.monitor_mode is not MonitorMode.NONE and contract.begin is not None:
             try:
@@ -194,7 +185,7 @@ class Engine:
             except ContractError:
                 return MonitorBeginFail(op.dest)
             state = state.with_monitor_storage(op.dest, new_ms)
-            self._hook_record(records, RecordKind.BEGIN, op.dest, state, ctx.gas_remaining, queue, op)
+            self._record(records, RecordKind.BEGIN, op.dest, state, ctx.gas_remaining, queue, op)
 
         gas_before = ctx.gas_remaining
         charged = charge_gas(ctx, OP_COST)
@@ -253,20 +244,9 @@ class Engine:
             new_queue = rest + emitted
 
         self._record(
-            records,
-            RecordKind.OP,
-            op.dest,
-            state,
-            gas_before,
-            ctx.gas_remaining,
-            queue,
-            new_queue,
-            executed=op,
-            emitted=emitted,
-            storage_before=acct.storage,
-            storage_after=result.new_storage,
-            balance_seen=acct.balance,
-            readings=dict(view.readings),
+            records, RecordKind.OP, op.dest, state, ctx.gas_remaining, queue, op,
+            queue_after=new_queue, emitted=emitted, gas_before=gas_before,
+            storage_before=acct.storage, readings=dict(view.readings),
         )
 
         if cfg.monitor_mode is not MonitorMode.NONE and contract.end is not None:
@@ -275,7 +255,7 @@ class Engine:
             except ContractError:
                 return MonitorEndFail(op.dest)
             state = state.with_monitor_storage(op.dest, new_ms)
-            self._hook_record(records, RecordKind.END, op.dest, state, ctx.gas_remaining, new_queue, op)
+            self._record(records, RecordKind.END, op.dest, state, ctx.gas_remaining, new_queue, op)
 
         return RunningTx(state=state, ctx=ctx, queue=new_queue)
 
@@ -291,20 +271,19 @@ class Engine:
             if kind not in cfg.mechanisms:
                 continue
             state, applied, failed = run_hookups(self.registry, state, ctx.visited, kind)
-            for addr, before, after, balance, snapshot in applied:
-                self._record(
-                    records, RecordKind.HOOKUP, addr, snapshot, gas, gas, (), (),
-                    storage_before=before, storage_after=after, balance_seen=balance,
-                )
+            for addr, before, snapshot in applied:
+                self._record(records, RecordKind.HOOKUP, addr, snapshot, gas, (), storage_before=before)
             if failed is not None:
                 return state, HookupFail(failed)
 
         if Mechanism.FAIL in cfg.mechanisms:
-            bad = end_of_tx_fail_check(ctx)
+            # A fail bit still raised once the queue has drained fails the
+            # whole transaction.
+            bad = frozenset(a for a, raised in ctx.fail_bits.items() if raised)
             if bad:
                 for addr in ctx.visited:
                     if addr in bad:
-                        self._hook_record(records, RecordKind.FAIL_BIT_CHECK, addr, state, gas, ())
+                        self._record(records, RecordKind.FAIL_BIT_CHECK, addr, state, gas, ())
                 return state, FailBitSet(bad)
 
         if cfg.monitor_mode is MonitorMode.TRANSACTION:
@@ -318,7 +297,7 @@ class Engine:
                         contract.term(acct.storage, acct.balance, acct.monitor_storage)
                     except ContractError:
                         return state, MonitorTermFail(addr)
-                self._hook_record(records, RecordKind.TERM, addr, state, gas, ())
+                self._record(records, RecordKind.TERM, addr, state, gas, ())
 
         return state, None
 
@@ -366,59 +345,25 @@ class Engine:
         if external.recurring:
             raise ScenarioError("external operations cannot be recurring")
 
-    def _hook_record(
-        self,
-        records: list[StepRecord],
-        kind: RecordKind,
-        addr: Address,
-        state: ChainState,
-        gas: int,
-        queue: tuple[Operation, ...],
-        executed: Optional[Operation] = None,
-    ) -> None:
-        """Record a hook step at `addr`: gas, the queue and the subject's
-        storage are unchanged across it."""
-        acct = state.get(addr)
-        self._record(
-            records, kind, addr, state, gas, gas, queue, queue, executed=executed,
-            storage_before=acct.storage, storage_after=acct.storage,
-            balance_seen=acct.balance,
-        )
-
     def _record(
-        self,
-        records: list[StepRecord],
-        kind: RecordKind,
-        subject: Address,
-        state: ChainState,
-        gas_before: int,
-        gas_after: int,
-        queue_before: tuple[Operation, ...],
-        queue_after: tuple[Operation, ...],
-        executed: Optional[Operation] = None,
-        emitted: tuple[Operation, ...] = (),
-        storage_before: Optional[Value] = None,
-        storage_after: Optional[Value] = None,
-        balance_seen: Optional[int] = None,
-        readings: Optional[dict] = None,
+        self, records: list[StepRecord], kind: RecordKind, addr: Address, state: ChainState,
+        gas: int, queue: tuple[Operation, ...], executed: Optional[Operation] = None, **changed,
     ) -> None:
+        """Record a step at `addr` that ends in `state`. By default it is a
+        hook step: gas, the queue and the subject's storage are unchanged
+        across it and it emits nothing. `changed` overrides the fields the
+        step did change."""
+        acct = state.get(addr)
+        fields = dict(
+            queue_before=queue, queue_after=queue, emitted=(), gas_before=gas, gas_after=gas,
+            storage_before=acct.storage, storage_after=acct.storage, balance_seen=acct.balance,
+            readings={},
+        )
+        fields.update(changed)
         records.append(
             StepRecord(
-                index=len(records),
-                kind=kind,
-                subject=subject,
-                executed=executed,
-                queue_before=queue_before,
-                queue_after=queue_after,
-                emitted=emitted,
-                gas_before=gas_before,
-                gas_after=gas_after,
-                state_digest=digest(state),
-                storage_digest=storage_digest(state),
-                storage_before=storage_before,
-                storage_after=storage_after,
-                balance_seen=balance_seen,
-                readings=readings or {},
+                index=len(records), kind=kind, subject=addr, executed=executed,
+                state_digest=digest(state), storage_digest=storage_digest(state), **fields,
             )
         )
 

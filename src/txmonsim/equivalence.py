@@ -389,19 +389,12 @@ def _third_party_ops(trace: Trace) -> list[tuple]:
 
 def _build_states(
     scenario: GeneratedScenario,
-    subject: ContractDef,
-    subject_storage: Value,
-    subject_monitor: Value,
-    transformed: Optional[TransformedContract],
+    t_contract: ContractDef,
+    t_storage: Value,
+    t_monitor: Value,
 ) -> tuple[dict, ChainState]:
     fwd = forwarder_B({}, 0)
     snk = sink_C({}, 0)
-    if transformed is None:
-        t_contract, t_storage, t_monitor = subject, subject_storage, subject_monitor
-    else:
-        t_contract = transformed.wrapped
-        t_storage = transformed.wrap_storage(subject_storage, subject_monitor)
-        t_monitor = UNIT
     registry = {T: t_contract, F: fwd.contract, S: snk.contract}
     state = ChainState(
         {
@@ -436,11 +429,7 @@ class DiffReport:
         return not self.failures
 
 
-def run_case(
-    case: TransformerCase,
-    seeds: range,
-    on_trace: Optional[Callable[[Trace], None]] = None,
-) -> DiffReport:
+def run_case(case: TransformerCase, seeds: range) -> DiffReport:
     report = DiffReport(case=case.name)
     reading_key = READING_KEYS.get(case.profile)
     for seed in seeds:
@@ -448,8 +437,10 @@ def run_case(
         subject, storage0, monitor0 = make_subject(case.profile, scenario.hook_spec)
         transformed = case.transform(subject)
 
-        native_registry, native_state = _build_states(scenario, subject, storage0, monitor0, None)
-        trans_registry, trans_state = _build_states(scenario, subject, storage0, monitor0, transformed)
+        native_registry, native_state = _build_states(scenario, subject, storage0, monitor0)
+        trans_registry, trans_state = _build_states(
+            scenario, transformed.wrapped, transformed.wrap_storage(storage0, monitor0), UNIT
+        )
         native_engine = Engine(
             native_registry,
             EngineConfig(
@@ -473,9 +464,6 @@ def run_case(
             rn = native_engine.run_transaction(native_state, op)
             rt = trans_engine.run_transaction(trans_state, op)
             report.transactions += 1
-            if on_trace is not None:
-                on_trace(rn.trace)
-                on_trace(rt.trace)
 
             def fail(problem: str) -> None:
                 report.failures.append(DiffFailure(case.name, seed, i, problem))

@@ -45,8 +45,8 @@ _hook_meter: contextvars.ContextVar[Optional[list[int]]] = contextvars.ContextVa
 )
 
 
-def hook_tick(n: int = 1) -> None:
-    """Charge abstract steps against the active bounded-hookup budget.
+def hook_tick() -> None:
+    """Charge one abstract step against the active bounded-hookup budget.
 
     Hook bodies with loops call this once per iteration; outside a bounded
     hookup it is a no-op.
@@ -54,7 +54,7 @@ def hook_tick(n: int = 1) -> None:
     meter = _hook_meter.get()
     if meter is None:
         return
-    meter[0] += n
+    meter[0] += 1
     if meter[0] > BSTORE_STEP_BUDGET:
         raise BStoreBudgetError(
             f"bounded hookup exceeded {BSTORE_STEP_BUDGET} abstract steps"
@@ -206,21 +206,16 @@ def fold_effects(ctx: Context, view: ContextView) -> Context:
     return ctx
 
 
-def end_of_tx_fail_check(ctx: Context) -> frozenset[Address]:
-    """Addresses whose fail bits are still raised once the queue has drained;
-    a non-empty result fails the whole transaction."""
-    return frozenset(a for a, v in ctx.fail_bits.items() if v)
-
-
 def run_hookups(registry, state, visited, kind: Mechanism):
     """Run the storage hookups of `kind` for every visited contract that
     declares one, in first-visit order.
 
     Returns (state', applied, failed) where `applied` lists
-    (address, storage_before, storage_after, balance, state_after) per
-    executed hook and `failed` is the address whose unbounded hookup rejected,
-    if any. Bounded hookups have no failure outcome; anything they raise is an
-    authoring diagnostic, not a transaction abort.
+    (address, storage_before, state_after) per executed hook, and `failed` is
+    the address whose unbounded hookup rejected, if any. The hook's new
+    storage and the balance it saw are the address's in state_after. Bounded
+    hookups have no failure outcome; anything they raise is an authoring
+    diagnostic, not a transaction abort.
     """
     applied = []
     for addr in visited:
@@ -239,5 +234,5 @@ def run_hookups(registry, state, visited, kind: Mechanism):
             except ContractError:
                 return state, applied, addr
         state = state.with_storage(addr, new_storage)
-        applied.append((addr, acct.storage, new_storage, acct.balance, state))
+        applied.append((addr, acct.storage, state))
     return state, applied, None

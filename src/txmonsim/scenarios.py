@@ -64,8 +64,6 @@ class TxSpec:
     method: str
     param: Value = UNIT
     money: int = 0
-    gas_limit: Optional[int] = None
-    src: Optional[Address] = None
 
 
 @dataclass(frozen=True)
@@ -88,8 +86,6 @@ class ScenarioSpec:
         for t in self.transactions:
             if t.dest not in contract_addrs:
                 raise ScenarioError(f"transaction destination {t.dest!r} not a contract")
-            if t.src is not None and t.src not in {e.addr for e in self.externals}:
-                raise ScenarioError(f"transaction source {t.src!r} not an external account")
 
 
 def build_scenario(spec: ScenarioSpec) -> tuple[ChainState, Registry]:
@@ -131,16 +127,17 @@ class ScenarioResult:
 
 
 def run_scenario(spec: ScenarioSpec, debug: bool = False) -> ScenarioResult:
-    """Run the scenario's transactions in order; commits thread the state
-    forward, aborts leave it untouched."""
+    """Run the scenario's transactions in order, each sent from the first
+    external account; commits thread the state forward, aborts leave it
+    untouched."""
     state, registry = build_scenario(spec)
     pre = state
     engine = Engine(registry, spec.engine, debug=debug)
+    src = spec.externals[0].addr
     results = []
     for t in spec.transactions:
-        src = t.src if t.src is not None else spec.externals[0].addr
         op = Operation(dest=t.dest, src=src, method=t.method, param=t.param, money=t.money)
-        res = engine.run_transaction(state, op, gas_limit=t.gas_limit)
+        res = engine.run_transaction(state, op)
         results.append(res)
         if isinstance(res.outcome, Committed):
             state = res.outcome.final
@@ -213,21 +210,12 @@ def check_obs_equivalence(
 # Counter-example reports
 
 
-def reason_kind(outcome: Outcome) -> str:
-    """Stable label of an outcome for claims and serialization: its `kind`."""
-    return outcome.kind
-
-
-def op_label(op: Operation) -> str:
-    return f"{op.dest}.{op.method}"
-
-
-def queue_labels(trace: Trace, steps: Optional[int] = None) -> tuple[tuple[str, ...], ...]:
-    """queue_after of each operation record, as dest.method labels."""
-    ops = trace.ops()
-    if steps is not None:
-        ops = ops[:steps]
-    return tuple(tuple(op_label(o) for o in r.queue_after) for r in ops)
+def queue_labels(trace: Trace, steps: int) -> tuple[tuple[str, ...], ...]:
+    """queue_after of the first `steps` operation records, as dest.method
+    labels."""
+    return tuple(
+        tuple(f"{o.dest}.{o.method}" for o in r.queue_after) for r in trace.ops()[:steps]
+    )
 
 
 @dataclass(frozen=True)
@@ -819,9 +807,10 @@ class FlashLoanReport:
 
 
 def _flashloan_row(
-    scenario: str, variant_label: str, spec: ScenarioSpec, expected_commit: bool
+    scenario: str, variant: LenderVariant, client: str, params: dict, expected: bool
 ) -> FlashLoanRow:
-    lender_addrs = [c.addr for c in spec.contracts if c.builtin.startswith("lender")]
+    spec = _loan_scenario(variant, client, params)
+    lender_addrs = [c.addr for c in spec.contracts if c.builtin == variant.builtin]
     result = run_scenario(spec)
     pre = tuple(result.pre_state.balance(a) for a in lender_addrs)
     post = tuple(result.final_state.balance(a) for a in lender_addrs)
@@ -829,10 +818,10 @@ def _flashloan_row(
     safety_ok = (not committed) or all(b >= a for a, b in zip(pre, post))
     return FlashLoanRow(
         scenario=scenario,
-        variant=variant_label,
+        variant=variant.label,
         outcome_kind=result.outcomes[0].kind,
         committed=committed,
-        expected_commit=expected_commit,
+        expected_commit=expected,
         lender_balances_pre=pre,
         lender_balances_post=post,
         safety_ok=safety_ok,
@@ -842,40 +831,16 @@ def _flashloan_row(
 def run_flashloan_suite() -> FlashLoanReport:
     """Every lender variant against every client pattern, plus the DFS
     straight-line client rows showing the defensive lender's liveness gap."""
-    rows = []
-    for scenario, client, params, expected in STAGED_CLIENTS:
-        for variant in LENDER_VARIANTS:
-            rows.append(
-                _flashloan_row(
-                    scenario, variant.label, _loan_scenario(variant, client, params), expected
-                )
-            )
-
-    flat_params = {"l1": L1, "l2": L2, "sink": SINK, "amount1": 100, "amount2": 200}
-    trmon = LENDER_VARIANTS[0]
+    two_loans, malicious = STAGED_CLIENTS[0][2], STAGED_CLIENTS[1][2]
     naive = LenderVariant("naive@dfs", "lender_naive", SchedulerKind.DFS)
-    rows.append(
-        _flashloan_row(
-            "two_loans_flat@dfs",
-            trmon.label,
-            _loan_scenario(trmon, "client_two_loans", flat_params),
-            expected_commit=True,
-        )
-    )
-    rows.append(
-        _flashloan_row(
-            "two_loans_flat@dfs(naive)",
-            naive.label,
-            _loan_scenario(naive, "client_two_loans", flat_params),
-            expected_commit=False,
-        )
-    )
-    rows.append(
-        _flashloan_row(
-            "malicious@dfs(naive)",
-            naive.label,
-            _loan_scenario(naive, "client_malicious", {"l": L1, "sink": SINK, "amount": 100}),
-            expected_commit=False,
-        )
-    )
-    return FlashLoanReport(rows=tuple(rows))
+    staged = [
+        (scenario, variant, client, params, expected)
+        for scenario, client, params, expected in STAGED_CLIENTS
+        for variant in LENDER_VARIANTS
+    ]
+    flat = [
+        ("two_loans_flat@dfs", LENDER_VARIANTS[0], "client_two_loans", two_loans, True),
+        ("two_loans_flat@dfs(naive)", naive, "client_two_loans", two_loans, False),
+        ("malicious@dfs(naive)", naive, "client_malicious", malicious, False),
+    ]
+    return FlashLoanReport(rows=tuple(_flashloan_row(*row) for row in staged + flat))

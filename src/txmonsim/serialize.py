@@ -272,7 +272,25 @@ def outcome_to_json(o: Outcome) -> dict:
 # Scenario files
 
 
+def _known(obj: Mapping, spec: type) -> None:
+    """Reject any key of `obj` that names no field of the dataclass `spec`,
+    so that a misspelt or retired field fails instead of being ignored."""
+    names = {f.name for f in fields(spec)}
+    for key in obj:
+        if key not in names:
+            raise ScenarioError(f"unknown field {key!r}")
+
+
+def _entries(obj: Mapping, name: str, spec: type) -> list:
+    """The objects listed under `name`, each checked against `spec`."""
+    entries = obj.get(name, [])
+    for entry in entries:
+        _known(entry, spec)
+    return entries
+
+
 def engine_config_from_json(obj: Mapping) -> EngineConfig:
+    _known(obj, EngineConfig)
     return EngineConfig(
         scheduler=SchedulerKind(obj.get("scheduler", "dfs")),
         gas_limit=int(obj.get("gas_limit", 1000)),
@@ -283,6 +301,7 @@ def engine_config_from_json(obj: Mapping) -> EngineConfig:
 
 def scenario_from_json(obj: Mapping) -> ScenarioSpec:
     with _decoding("malformed scenario"):
+        _known(obj, ScenarioSpec)
         engine = engine_config_from_json(obj.get("engine", {}))
         contracts = tuple(
             ContractSpec(
@@ -295,11 +314,11 @@ def scenario_from_json(obj: Mapping) -> ScenarioSpec:
                     value_from_json(c["monitor_storage"]) if "monitor_storage" in c else None
                 ),
             )
-            for c in obj.get("contracts", [])
+            for c in _entries(obj, "contracts", ContractSpec)
         )
         externals = tuple(
             ExternalSpec(addr=e["addr"], balance=int(e.get("balance", 0)))
-            for e in obj.get("externals", [])
+            for e in _entries(obj, "externals", ExternalSpec)
         )
         transactions = tuple(
             TxSpec(
@@ -307,10 +326,8 @@ def scenario_from_json(obj: Mapping) -> ScenarioSpec:
                 method=t["method"],
                 param=value_from_json(t.get("param")),
                 money=int(t.get("money", 0)),
-                gas_limit=int(t["gas_limit"]) if "gas_limit" in t else None,
-                src=t.get("src"),
             )
-            for t in obj.get("transactions", [])
+            for t in _entries(obj, "transactions", TxSpec)
         )
         return ScenarioSpec(
             engine=engine, contracts=contracts, externals=externals, transactions=transactions

@@ -55,7 +55,6 @@ from txmonsim.scenarios import (
     _loan_scenario,
     build_scenario,
     check_obs_equivalence,
-    reason_kind,
     run_bfs_only_once,
     run_bfs_queue_gap,
     run_dfs_only_once,
@@ -134,9 +133,17 @@ def battery():
 @pytest.fixture(scope="module")
 def equivalence_traces():
     traces = []
-    sink = traces.append
-    for name in ("count_via_first", "fail_via_recurring_bfs", "ustore_via_queue_bfs"):
-        run_case(CASES[name], range(0, 40), on_trace=sink)
+    original = Engine.run_transaction
+
+    def recording(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        traces.append(result.trace)
+        return result
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Engine, "run_transaction", recording)
+        for name in ("count_via_first", "fail_via_recurring_bfs", "ustore_via_queue_bfs"):
+            run_case(CASES[name], range(0, 40))
     return traces
 
 
@@ -183,8 +190,8 @@ def test_c02_dfs_only_once(counterexample_reports):
         readings = report.traces[key].ops("A")[0].readings
         assert readings["first"] == VBool(True)
         assert readings["queue"] == VBool(False)
-    assert reason_kind(report.verdicts["o1"]) == "monitor_term_fail"
-    assert reason_kind(report.verdicts["o2"]) == "committed"
+    assert report.verdicts["o1"].kind == "monitor_term_fail"
+    assert report.verdicts["o2"].kind == "committed"
 
 
 @criterion(3, "BFS only-once counter-example: proof shapes and the starvation trap")
@@ -195,11 +202,11 @@ def test_c03_bfs_only_once(counterexample_reports):
     assert shapes["t"][0] == ("A.ping",)
     assert shapes["t0"][:2] == (("B.f", "A.ping"), ("A.ping", "A.ping"))
     assert shapes["t1"][:2] == (("B.f", "A.ping"), ("A.ping", "B.f"))
-    assert reason_kind(report.verdicts["t"]) == "gas_exhausted"
+    assert report.verdicts["t"].kind == "gas_exhausted"
     for key in ("t0", "t1", "t2"):
-        assert reason_kind(report.verdicts[key]) == "committed"
-    assert reason_kind(report.verdicts["t_prime0"]) == "gas_exhausted"
-    assert reason_kind(report.verdicts["t_prime0_native"]) == "committed"
+        assert report.verdicts[key].kind == "committed"
+    assert report.verdicts["t_prime0"].kind == "gas_exhausted"
+    assert report.verdicts["t_prime0_native"].kind == "committed"
 
 
 @criterion(4, "equivalence cycle first/count/txmem/bstore: 200 seeded scenarios each")
@@ -391,8 +398,8 @@ def test_c08_bfs_queue_gap(counterexample_reports):
         report.traces["busy_plain"], report.traces["quiet_plain"], "A", upto=1
     )
     assert res.equal
-    assert reason_kind(report.verdicts["busy_probed"]) == "contract_fail"
-    assert reason_kind(report.verdicts["quiet_probed"]) == "committed"
+    assert report.verdicts["busy_probed"].kind == "contract_fail"
+    assert report.verdicts["quiet_probed"].kind == "committed"
 
 
 @criterion(9, "flash-loan suite: expected verdicts and full cross-variant agreement")
@@ -413,8 +420,8 @@ def test_c09_flashloan_suite():
 def test_c10_global_invariants(battery):
     for spec, registry, pre, first, second in battery:
         # determinism: a re-run reproduces outcomes and byte-identical traces
-        assert [reason_kind(o) for o in first.outcomes] == [
-            reason_kind(o) for o in second.outcomes
+        assert [o.kind for o in first.outcomes] == [
+            o.kind for o in second.outcomes
         ]
         assert first.traces == second.traces
 

@@ -13,6 +13,7 @@ from txmonsim.scenarios import run_dfs_only_once
 from txmonsim.serialize import (
     dump_traces,
     load_traces,
+    record_to_json,
     report_to_json,
     scenario_from_json,
     trace_from_json,
@@ -141,6 +142,23 @@ def test_diff_subject_prefix_equal_but_full_traces_diverge(runner, tmp_path):
     assert "invocation 2" in full.output
     records = runner.invoke(main, ["diff", str(a), str(b)])
     assert records.exit_code == 1
+
+
+def test_diff_prints_the_first_divergent_records(runner, tmp_path):
+    report = run_dfs_only_once()
+    a = tmp_path / "o1.trace"
+    b = tmp_path / "o2.trace"
+    a.write_text(dump_traces([report.traces["o1"]]))
+    b.write_text(dump_traces([report.traces["o2"]]))
+    [x], [y] = load_traces(a.read_text()), load_traces(b.read_text())
+    j = next(j for j, (r, s) in enumerate(zip(x.records, y.records)) if r != s)
+    result = runner.invoke(main, ["diff", str(a), str(b)])
+    assert result.exit_code == 1
+    assert result.output.splitlines() == [
+        f"tx 0: first divergent record index {j}",
+        json.dumps(record_to_json(x.records[j]), sort_keys=True),
+        json.dumps(record_to_json(y.records[j]), sort_keys=True),
+    ]
 
 
 def test_suite_counterexamples_writes_five_reports(runner, tmp_path):
@@ -309,6 +327,37 @@ def _scenario_with_list_builtin():
     return "run", text, "unknown builtin contract ['x']"
 
 
+def _scenario_with_tx_gas_limit():
+    text = _only_once_scenario(lambda o: o["transactions"][0].update(gas_limit=10))
+    return "run", text, "malformed scenario: unknown field 'gas_limit'"
+
+
+def _scenario_with_tx_src():
+    text = _only_once_scenario(lambda o: o["transactions"][0].update(src="ext"))
+    return "run", text, "malformed scenario: unknown field 'src'"
+
+
+def _scenario_with_misspelt_contract_field():
+    text = _only_once_scenario(lambda o: o["contracts"][0].update(balnce=5))
+    return "run", text, "malformed scenario: unknown field 'balnce'"
+
+
+def _lender_scenario(edit):
+    obj = json.loads((FIXTURES / "bfs_first_lender.json").read_text())
+    edit(obj)
+    return json.dumps(obj)
+
+
+def _client_with_int_lender_addr():
+    text = _lender_scenario(lambda o: o["contracts"][1]["params"].update(l=5))
+    return "run", text, "address parameter 'l' is not a string: 5"
+
+
+def _client_with_list_lender_addr():
+    text = _lender_scenario(lambda o: o["contracts"][1]["params"].update(l=["x"]))
+    return "run", text, "address parameter 'l' is not a string: ['x']"
+
+
 @pytest.mark.parametrize(
     "malformed",
     [
@@ -325,6 +374,11 @@ def _scenario_with_list_builtin():
         _scenario_with_int_addr,
         _scenario_with_int_external_addr,
         _scenario_with_list_builtin,
+        _scenario_with_tx_gas_limit,
+        _scenario_with_tx_src,
+        _scenario_with_misspelt_contract_field,
+        _client_with_int_lender_addr,
+        _client_with_list_lender_addr,
     ],
 )
 def test_malformed_trace_and_report_files_exit_two(runner, tmp_path, malformed):

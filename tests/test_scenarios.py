@@ -16,7 +16,6 @@ from txmonsim.scenarios import (
     check_obs_equivalence,
     counterexample_suite,
     observations_of,
-    reason_kind,
     run_bfs_only_once,
     run_bfs_queue_gap,
     run_dfs_fail_queue,
@@ -101,34 +100,34 @@ def test_verify_report_detects_falsified_claims():
 
 def test_dfs_only_once_report_verdicts():
     report = run_dfs_only_once()
-    assert reason_kind(report.verdicts["o1"]) == "monitor_term_fail"
-    assert reason_kind(report.verdicts["o2"]) == "committed"
+    assert report.verdicts["o1"].kind == "monitor_term_fail"
+    assert report.verdicts["o2"].kind == "committed"
 
 
 def test_bfs_only_once_strategy_verdicts_show_the_trap():
     report = run_bfs_only_once()
-    assert reason_kind(report.verdicts["t"]) == "gas_exhausted"
+    assert report.verdicts["t"].kind == "gas_exhausted"
     for key in ("t0", "t1", "t2"):
-        assert reason_kind(report.verdicts[key]) == "committed"
+        assert report.verdicts[key].kind == "committed"
     # the strategy starves the three-call transaction the monitor accepts
-    assert reason_kind(report.verdicts["t_prime0"]) == "gas_exhausted"
-    assert reason_kind(report.verdicts["t_prime0_native"]) == "committed"
+    assert report.verdicts["t_prime0"].kind == "gas_exhausted"
+    assert report.verdicts["t_prime0_native"].kind == "committed"
 
 
 def test_bfs_queue_gap_prober_separates_exactly_the_busy_run():
     report = run_bfs_queue_gap()
-    assert reason_kind(report.verdicts["busy_probed"]) == "contract_fail"
-    assert reason_kind(report.verdicts["quiet_probed"]) == "committed"
+    assert report.verdicts["busy_probed"].kind == "contract_fail"
+    assert report.verdicts["quiet_probed"].kind == "committed"
 
 
 def test_fail_queue_policy_handles_pairs_but_not_three_calls():
     report = run_dfs_fail_queue()
-    assert reason_kind(report.verdicts["o1"]) == "fail_bit_set"
-    assert reason_kind(report.verdicts["o2"]) == "committed"
-    assert reason_kind(report.verdicts["seq_o2"]) == "committed"
-    assert reason_kind(report.verdicts["seq_o1"]) == "fail_bit_set"
-    assert reason_kind(report.verdicts["o3"]) == "fail_bit_set"
-    assert reason_kind(report.verdicts["o3_native"]) == "committed"
+    assert report.verdicts["o1"].kind == "fail_bit_set"
+    assert report.verdicts["o2"].kind == "committed"
+    assert report.verdicts["seq_o2"].kind == "committed"
+    assert report.verdicts["seq_o1"].kind == "fail_bit_set"
+    assert report.verdicts["o3"].kind == "fail_bit_set"
+    assert report.verdicts["o3_native"].kind == "committed"
 
 
 # ---------------------------------------------------------------------------
