@@ -9,15 +9,15 @@ import pytest
 from click.testing import CliRunner
 
 from txmonsim.cli import main
-from txmonsim.scenarios import run_dfs_only_once
+from txmonsim.engine import Engine
+from txmonsim.scenarios import counterexample_suite, run_dfs_only_once, run_flashloan_suite
 from txmonsim.serialize import (
     dump_traces,
     load_traces,
     record_to_json,
+    report_from_json,
     report_to_json,
     scenario_from_json,
-    trace_from_json,
-    trace_to_json,
 )
 
 TRMON_SCENARIO = {
@@ -95,12 +95,26 @@ def test_run_engine_overrides_change_the_outcome(runner, tmp_path):
     assert "insufficient_balance" in result.output
 
 
-def test_trace_files_round_trip(runner, tmp_path):
-    report = run_dfs_only_once()
-    trace = report.traces["o2"]
-    assert trace_from_json(trace_to_json(trace)) == trace
-    text = dump_traces([trace])
-    assert load_traces(text) == [trace]
+def test_trace_files_round_trip(monkeypatch):
+    # Every trace both suites write, so that decoding meets every record
+    # kind, abort reason and reading the encoders write.
+    results = []
+    original = Engine.run_transaction
+
+    def recording(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        results.append(result)
+        return result
+
+    monkeypatch.setattr(Engine, "run_transaction", recording)
+    reports = counterexample_suite()
+    run_flashloan_suite()
+    traces = [r.trace for r in results]
+    assert len(traces) == 52
+    assert load_traces(dump_traces(traces)) == traces
+    for report in reports:
+        bundle = json.loads(json.dumps(report_to_json(report)))
+        assert report_from_json(bundle).traces == report.traces
 
 
 def test_diff_trace_against_itself_is_zero(runner, tmp_path):
