@@ -34,10 +34,10 @@ from .serialize import (
     dump_traces,
     load_traces,
     outcome_to_json,
-    record_to_json,
     report_from_json,
     report_to_json,
     scenario_from_json,
+    to_json,
 )
 
 SUITE_DIR_VAR = "TXMONSIM_SUITE_DIR"
@@ -140,8 +140,8 @@ def diff(trace_a, trace_b, subject, upto):
                 for j, (r, s) in enumerate(zip(x.records, y.records)):
                     if r != s:
                         click.echo(f"tx {i}: first divergent record index {j}")
-                        click.echo(json.dumps(record_to_json(r), sort_keys=True))
-                        click.echo(json.dumps(record_to_json(s), sort_keys=True))
+                        click.echo(json.dumps(to_json(r), sort_keys=True))
+                        click.echo(json.dumps(to_json(s), sort_keys=True))
                         sys.exit(1)
                 click.echo(f"tx {i}: traces differ in length or metadata")
                 sys.exit(1)

@@ -106,10 +106,13 @@ def _addr(params: Params, key: str) -> Address:
 
 
 def _amt(params: Params, key: str) -> int:
-    value = params.get(key)
-    if value is None:
-        raise ScenarioError(f"builtin needs amount parameter {key!r}")
-    return int(value)  # type: ignore[arg-type]
+    try:
+        value = params[key]
+    except KeyError:
+        raise ScenarioError(f"builtin needs amount parameter {key!r}") from None
+    if type(value) is not int:
+        raise ScenarioError(f"builtin amount parameter {key!r} is not an integer: {value!r}")
+    return value
 
 
 def _passive(view, param, money, storage, balance) -> StepResult:
@@ -588,7 +591,7 @@ BUILTINS: dict[str, Callable[[Params, int], Builtin]] = {
 
 
 def build(name: str, params: Params, balance: int) -> Builtin:
-    factory = BUILTINS.get(name) if isinstance(name, str) else None
+    factory = BUILTINS.get(name)
     if factory is None:
         raise ScenarioError(f"unknown builtin contract {name!r}")
     try:

@@ -68,15 +68,12 @@ class TxSpec:
 
 @dataclass(frozen=True)
 class ScenarioSpec:
-    engine: EngineConfig
-    contracts: tuple[ContractSpec, ...]
-    externals: tuple[ExternalSpec, ...]
-    transactions: tuple[TxSpec, ...]
+    engine: EngineConfig = EngineConfig()
+    contracts: tuple[ContractSpec, ...] = ()
+    externals: tuple[ExternalSpec, ...] = ()
+    transactions: tuple[TxSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        for account in self.contracts + self.externals:
-            if not isinstance(account.addr, str):
-                raise ScenarioError(f"address {account.addr!r} is not a string")
         declared = {c.addr for c in self.contracts} | {e.addr for e in self.externals}
         if len(declared) != len(self.contracts) + len(self.externals):
             raise ScenarioError("duplicate addresses in scenario")

@@ -1,27 +1,42 @@
-"""JSON encodings for the command-line front end: values, operations, traces,
-outcomes and report bundles, and the decoding of scenario files.
+"""JSON encodings of every file txmonsim reads and writes: scenario files,
+trace files and counter-example report bundles.
+
+One encoder, `to_json`, and one decoder, `from_json`, walk a dataclass's
+fields by their resolved type hints. `_codec` says, per annotation, how a
+value is written and read, and builds each class's codec once, on first use:
+int, str and bool are themselves; `Value` uses the shorthand below; enums
+their `.value`; `tuple[X, ...]` an array; `frozenset[X]` a sorted array;
+`Mapping[str, X]` an object; `object` passes through unchanged; `Optional[X]`
+allows null, except that an unset `Optional[Value]` field is left out (null
+there reads as the unit value); a nested dataclass is an object of its fields.
+
+Decoding is strict. An integer, string or boolean must be that exact JSON
+type (`true` is not an integer, `1.5` is not an integer); a key that names no
+field fails as `unknown field 'KEY' in CLASS`; a missing field without a
+default fails as `CLASS lacks 'FIELD'`; a mistyped value fails as
+`CLASS.FIELD: expected an integer, got 1.5`, naming the innermost field.
 
 Value shorthand: null/bool/int/str/list map to the unit/bool/int/text/seq
 variants; objects are records. Amounts and addresses use the tagged escapes
-{"$amt": n} and {"$addr": "a"}; "$"-prefixed record keys are reserved.
+{"$amt": n} and {"$addr": "a"}, with n an integer and a a string;
+"$"-prefixed record keys are reserved.
 """
 
 from __future__ import annotations
 
 import json
+import reprlib
+from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import MISSING, fields
-from typing import Any, Iterator, Mapping
+from dataclasses import MISSING, fields, is_dataclass
+from enum import Enum
+from operator import attrgetter
+from typing import Any, Callable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 from .core import (
     Committed,
-    Mechanism,
-    MonitorMode,
-    Operation,
     Outcome,
-    RecordKind,
     ScenarioError,
-    SchedulerKind,
     StepRecord,
     Trace,
     TraceMeta,
@@ -37,19 +52,7 @@ from .core import (
     Value,
     digest,
 )
-from .engine import EngineConfig
-from .scenarios import (
-    ContractSpec,
-    CounterexampleReport,
-    CrossObsClaim,
-    ExternalSpec,
-    HookupInputClaim,
-    ObsClaim,
-    QueueClaim,
-    ScenarioSpec,
-    TxSpec,
-    VerdictClaim,
-)
+from .scenarios import CounterexampleReport, ScenarioSpec
 
 
 @contextmanager
@@ -61,6 +64,29 @@ def _decoding(where: str) -> Iterator[None]:
         raise ScenarioError(f"{where}: missing field {exc}") from exc
     except (ScenarioError, AttributeError, IndexError, TypeError, ValueError) as exc:
         raise ScenarioError(f"{where}: {exc}") from exc
+
+
+class _Mistyped(ScenarioError):
+    """A JSON value of the wrong shape; the dataclass field that holds it
+    prefixes its `CLASS.FIELD` name."""
+
+
+def _mistyped(expected: str, obj: Any) -> _Mistyped:
+    return _Mistyped(f"expected {expected}, got {reprlib.repr(obj)}")
+
+
+def _exact(t: type, expected: str) -> Callable[[Any], Any]:
+    """A decoder that accepts values of JSON type `t` only."""
+
+    def decode(obj: Any) -> Any:
+        if type(obj) is not t:
+            raise _mistyped(expected, obj)
+        return obj
+
+    return decode
+
+
+_array, _object = _exact(list, "an array"), _exact(dict, "an object")
 
 
 # ---------------------------------------------------------------------------
@@ -100,127 +126,171 @@ def value_from_json(obj: Any) -> Value:
         return VSeq(tuple(value_from_json(x) for x in obj))
     if isinstance(obj, dict):
         if set(obj) == {"$amt"}:
-            return VAmt(int(obj["$amt"]))
+            if type(obj["$amt"]) is not int:
+                raise _mistyped("an integer in $amt", obj["$amt"])
+            return VAmt(obj["$amt"])
         if set(obj) == {"$addr"}:
-            return VAddr(str(obj["$addr"]))
+            if type(obj["$addr"]) is not str:
+                raise _mistyped("a string in $addr", obj["$addr"])
+            return VAddr(obj["$addr"])
         bad = [k for k in obj if k.startswith("$")]
         if bad:
-            raise ScenarioError(f"reserved record keys: {bad}")
+            raise _Mistyped(f"reserved record keys: {bad}")
         return VRec({k: value_from_json(x) for k, x in obj.items()})
-    raise ScenarioError(f"cannot parse value from {obj!r}")
+    raise _Mistyped(f"cannot parse value from {obj!r}")
 
 
 # ---------------------------------------------------------------------------
-# Operations, records, traces
+# Outcomes
 
 
-def op_to_json(op: Operation) -> dict:
-    return {
-        "dest": op.dest,
-        "src": op.src,
-        "method": op.method,
-        "param": value_to_json(op.param),
-        "money": op.money,
-        "recurring": op.recurring,
-    }
+def outcome_to_json(o: Outcome) -> dict:
+    """The outcome's kind plus the abort reason's fields, or the final state
+    digest of a commit."""
+    if isinstance(o, Committed):
+        return {"kind": o.kind, "state_digest": digest(o.final)}
+    return {"kind": o.kind, **to_json(o.reason)}  # type: ignore[attr-defined]
 
 
-def op_from_json(obj: Mapping) -> Operation:
-    return Operation(
-        dest=obj["dest"],
-        src=obj["src"],
-        method=obj["method"],
-        param=value_from_json(obj.get("param")),
-        money=int(obj.get("money", 0)),
-        recurring=bool(obj.get("recurring", False)),
-    )
+class _ReadVerdict(Outcome):
+    """A verdict read back from a report bundle: its kind and nothing else."""
+
+    __slots__ = ("kind",)
+
+    def __init__(self, kind: str):
+        self.kind = kind
 
 
-def record_to_json(r: StepRecord) -> dict:
-    out = {
-        "index": r.index,
-        "kind": r.kind.value,
-        "subject": r.subject,
-        "executed": op_to_json(r.executed) if r.executed is not None else None,
-        "queue_before": [op_to_json(o) for o in r.queue_before],
-        "queue_after": [op_to_json(o) for o in r.queue_after],
-        "emitted": [op_to_json(o) for o in r.emitted],
-        "gas_before": r.gas_before,
-        "gas_after": r.gas_after,
-        "state_digest": r.state_digest,
-        "storage_digest": r.storage_digest,
-        "balance_seen": r.balance_seen,
-        "readings": {k: value_to_json(v) for k, v in r.readings.items()},
-    }
-    if r.storage_before is not None:
-        out["storage_before"] = value_to_json(r.storage_before)
-    if r.storage_after is not None:
-        out["storage_after"] = value_to_json(r.storage_after)
-    return out
+def _verdict_from_json(obj: Any) -> _ReadVerdict:
+    kind = _object(obj).get("kind")
+    if type(kind) is not str:
+        raise _mistyped("an outcome with a string kind", obj)
+    return _ReadVerdict(kind)
 
 
-def record_from_json(obj: Mapping) -> StepRecord:
-    return StepRecord(
-        index=obj["index"],
-        kind=RecordKind(obj["kind"]),
-        subject=obj["subject"],
-        executed=op_from_json(obj["executed"]) if obj.get("executed") else None,
-        queue_before=tuple(op_from_json(o) for o in obj["queue_before"]),
-        queue_after=tuple(op_from_json(o) for o in obj["queue_after"]),
-        emitted=tuple(op_from_json(o) for o in obj["emitted"]),
-        gas_before=obj["gas_before"],
-        gas_after=obj["gas_after"],
-        state_digest=obj["state_digest"],
-        storage_digest=obj["storage_digest"],
-        storage_before=value_from_json(obj["storage_before"]) if "storage_before" in obj else None,
-        storage_after=value_from_json(obj["storage_after"]) if "storage_after" in obj else None,
-        balance_seen=obj.get("balance_seen"),
-        readings={k: value_from_json(v) for k, v in obj.get("readings", {}).items()},
-    )
+# ---------------------------------------------------------------------------
+# The codec: per annotation, an encoder (None where a value is written as it
+# is) and a decoder.
 
 
-def meta_to_json(m: TraceMeta) -> dict:
-    return {
-        "scheduler": m.scheduler.value,
-        "monitor_mode": m.monitor_mode.value,
-        "mechanisms": sorted(x.value for x in m.mechanisms),
-        "gas_limit": m.gas_limit,
-        "external": op_to_json(m.external),
-        "block_level": m.block_level,
-        "timestamp": m.timestamp,
-    }
+Codec = tuple[Optional[Callable[[Any], Any]], Callable[[Any], Any]]
 
 
-def meta_from_json(obj: Mapping) -> TraceMeta:
-    return TraceMeta(
-        scheduler=SchedulerKind(obj["scheduler"]),
-        monitor_mode=MonitorMode(obj["monitor_mode"]),
-        mechanisms=frozenset(Mechanism(x) for x in obj["mechanisms"]),
-        gas_limit=obj["gas_limit"],
-        external=op_from_json(obj["external"]),
-        block_level=obj.get("block_level", 0),
-        timestamp=obj.get("timestamp", 0),
-    )
+_CODECS: dict[Any, Codec] = {
+    int: (None, _exact(int, "an integer")),
+    str: (None, _exact(str, "a string")),
+    bool: (None, _exact(bool, "a boolean")),
+    object: (None, lambda obj: obj),
+    Value: (value_to_json, value_from_json),
+    Outcome: (outcome_to_json, _verdict_from_json),
+}
 
 
-def trace_to_json(t: Trace) -> dict:
-    return {"meta": meta_to_json(t.meta), "records": [record_to_json(r) for r in t.records]}
+def _codec(hint: Any) -> Codec:
+    """How a value annotated `hint` is written and read, built on first use."""
+    codec = _CODECS.get(hint)
+    if codec is None:
+        codec = _CODECS[hint] = _build_codec(hint)
+    return codec
 
 
-def trace_from_json(obj: Mapping) -> Trace:
-    return Trace(
-        meta=meta_from_json(obj["meta"]),
-        records=tuple(record_from_json(r) for r in obj["records"]),
-    )
+def _build_codec(hint: Any) -> Codec:
+    origin, args = get_origin(hint), get_args(hint)
+    if origin is Union:
+        (inner,) = [a for a in args if a is not type(None)]
+        enc, dec = _codec(inner)
+        write = None if enc is None else lambda v: None if v is None else enc(v)
+        return write, lambda obj: None if obj is None else dec(obj)
+    if origin is tuple:
+        enc, dec = _codec(args[0])
+        write = list if enc is None else lambda v: [enc(x) for x in v]
+        return write, lambda obj: tuple([dec(x) for x in _array(obj)])
+    if origin is frozenset:
+        enc, dec = _codec(args[0])
+        write = sorted if enc is None else lambda v: sorted([enc(x) for x in v])
+        return write, lambda obj: frozenset([dec(x) for x in _array(obj)])
+    if origin is Mapping:
+        enc, dec = _codec(args[1])
+        write = dict if enc is None else lambda v: {k: enc(x) for k, x in v.items()}
+        return write, lambda obj: {k: dec(x) for k, x in _object(obj).items()}
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        expected = "one of " + ", ".join(repr(m.value) for m in hint)
+
+        def read_enum(obj: Any) -> Enum:
+            try:
+                return hint(obj)
+            except (TypeError, ValueError):
+                raise _mistyped(expected, obj) from None
+
+        return attrgetter("value"), read_enum
+    if is_dataclass(hint):
+        return _dataclass_codec(hint)
+    raise TypeError(f"no JSON codec for {hint!r}")
+
+
+def _dataclass_codec(cls: type) -> Codec:
+    hints, name = get_type_hints(cls), cls.__name__
+    known = {f.name for f in fields(cls)}
+    written, unset_omitted, read = [], [], []
+    for f in fields(cls):
+        if hints[f.name] == Optional[Value]:
+            unset_omitted.append(f.name)
+            enc, dec = _codec(Value)
+        else:
+            enc, dec = _codec(hints[f.name])
+            written.append((f.name, enc))
+        read.append((f.name, dec, f.default is MISSING and f.default_factory is MISSING))
+
+    def encode(o: Any) -> dict:
+        out = {k: getattr(o, k) if enc is None else enc(getattr(o, k)) for k, enc in written}
+        for key in unset_omitted:
+            if (v := getattr(o, key)) is not None:
+                out[key] = value_to_json(v)
+        return out
+
+    def decode(obj: Any) -> Any:
+        if not known.issuperset(_object(obj)):
+            unknown = next(key for key in obj if key not in known)
+            raise ScenarioError(f"unknown field {unknown!r} in {name}")
+        kwargs = {}
+        for key, dec, required in read:
+            if key in obj:
+                try:
+                    kwargs[key] = dec(obj[key])
+                except _Mistyped as exc:
+                    raise ScenarioError(f"{name}.{key}: {exc}") from None
+            elif required:
+                raise ScenarioError(f"{name} lacks {key!r}")
+        return cls(**kwargs)
+
+    return encode, decode
+
+
+def to_json(obj: Any) -> Any:
+    """The JSON form of a dataclass instance, field by field."""
+    return _codec(type(obj))[0](obj)
+
+
+def from_json(cls: type, obj: Any) -> Any:
+    """Rebuild a `cls` from its JSON form; a malformed one raises
+    ScenarioError naming the class and field."""
+    try:
+        return _codec(cls)[1](obj)
+    except _Mistyped as exc:
+        raise ScenarioError(f"{cls.__name__}: {exc}") from None
+
+
+# ---------------------------------------------------------------------------
+# Trace files, scenario files, report bundles
 
 
 def dump_traces(traces: list[Trace]) -> str:
     """One line per record, with a meta line opening each transaction."""
     lines = []
     for i, t in enumerate(traces):
-        lines.append(json.dumps({"tx": i, "meta": meta_to_json(t.meta)}, sort_keys=True))
+        lines.append(json.dumps({"tx": i, "meta": to_json(t.meta)}, sort_keys=True))
         for r in t.records:
-            lines.append(json.dumps({"tx": i, "record": record_to_json(r)}, sort_keys=True))
+            lines.append(json.dumps({"tx": i, "record": to_json(r)}, sort_keys=True))
     return "\n".join(lines) + "\n"
 
 
@@ -236,181 +306,41 @@ def load_traces(text: str) -> list[Trace]:
             if "meta" in obj:
                 if obj["tx"] != len(metas):
                     raise ScenarioError("trace file transactions out of order")
-                metas.append(meta_from_json(obj["meta"]))
+                metas.append(from_json(TraceMeta, obj["meta"]))
                 records.append([])
             elif "record" in obj:
                 tx = obj["tx"]
-                if not (isinstance(tx, int) and 0 <= tx < len(records)):
+                if not (type(tx) is int and 0 <= tx < len(records)):
                     raise ScenarioError(f"record of transaction {tx!r}, which has no meta line")
-                records[tx].append(record_from_json(obj["record"]))
+                records[tx].append(from_json(StepRecord, obj["record"]))
             else:
                 raise ScenarioError(f"unrecognized trace line: {line[:80]}")
     return [Trace(meta=m, records=tuple(rs)) for m, rs in zip(metas, records)]
 
 
-# ---------------------------------------------------------------------------
-# Outcomes
-
-
-def outcome_to_json(o: Outcome) -> dict:
-    """The outcome's kind plus the abort reason's fields, or the final state
-    digest of a commit."""
-    if isinstance(o, Committed):
-        return {"kind": o.kind, "state_digest": digest(o.final)}
-    out: dict = {"kind": o.kind}
-    for f in fields(o.reason):  # type: ignore[union-attr]
-        v = getattr(o.reason, f.name)  # type: ignore[union-attr]
-        if isinstance(v, Operation):
-            v = op_to_json(v)
-        elif isinstance(v, frozenset):
-            v = sorted(v)
-        out[f.name] = v
-    return out
-
-
-# ---------------------------------------------------------------------------
-# Scenario files
-
-
-def _known(obj: Mapping, spec: type) -> None:
-    """Reject any key of `obj` that names no field of the dataclass `spec`,
-    so that a misspelt or retired field fails instead of being ignored."""
-    names = {f.name for f in fields(spec)}
-    for key in obj:
-        if key not in names:
-            raise ScenarioError(f"unknown field {key!r}")
-
-
-def _entries(obj: Mapping, name: str, spec: type) -> list:
-    """The objects listed under `name`, each checked against `spec`."""
-    entries = obj.get(name, [])
-    for entry in entries:
-        _known(entry, spec)
-    return entries
-
-
-def engine_config_from_json(obj: Mapping) -> EngineConfig:
-    _known(obj, EngineConfig)
-    return EngineConfig(
-        scheduler=SchedulerKind(obj.get("scheduler", "dfs")),
-        gas_limit=int(obj.get("gas_limit", 1000)),
-        mechanisms=frozenset(Mechanism(x) for x in obj.get("mechanisms", [])),
-        monitor_mode=MonitorMode(obj.get("monitor_mode", "none")),
-    )
-
-
 def scenario_from_json(obj: Mapping) -> ScenarioSpec:
     with _decoding("malformed scenario"):
-        _known(obj, ScenarioSpec)
-        engine = engine_config_from_json(obj.get("engine", {}))
-        contracts = tuple(
-            ContractSpec(
-                addr=c["addr"],
-                builtin=c["builtin"],
-                params=c.get("params", {}),
-                balance=int(c.get("balance", 0)),
-                storage=value_from_json(c["storage"]) if "storage" in c else None,
-                monitor_storage=(
-                    value_from_json(c["monitor_storage"]) if "monitor_storage" in c else None
-                ),
-            )
-            for c in _entries(obj, "contracts", ContractSpec)
-        )
-        externals = tuple(
-            ExternalSpec(addr=e["addr"], balance=int(e.get("balance", 0)))
-            for e in _entries(obj, "externals", ExternalSpec)
-        )
-        transactions = tuple(
-            TxSpec(
-                dest=t["dest"],
-                method=t["method"],
-                param=value_from_json(t.get("param")),
-                money=int(t.get("money", 0)),
-            )
-            for t in _entries(obj, "transactions", TxSpec)
-        )
-        return ScenarioSpec(
-            engine=engine, contracts=contracts, externals=externals, transactions=transactions
-        )
-
-
-# ---------------------------------------------------------------------------
-# Counter-example report bundles
-
-
-_CLAIM_LISTS = {
-    "obs_claims": ObsClaim,
-    "cross_obs_claims": CrossObsClaim,
-    "queue_claims": QueueClaim,
-    "verdict_claims": VerdictClaim,
-    "hookup_claims": HookupInputClaim,
-}
-
-
-def _lists(v: Any) -> Any:
-    return [_lists(x) for x in v] if isinstance(v, tuple) else v
-
-
-def _tuples(v: Any) -> Any:
-    return tuple(_tuples(x) for x in v) if isinstance(v, list) else v
-
-
-def _claim_from_json(cls, obj: Mapping):
-    """Rebuild a claim from its dataclass fields; arrays come back as tuples."""
-    missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in obj]
-    if missing:
-        raise ScenarioError(f"{cls.__name__} lacks {', '.join(missing)}")
-    return cls(**{f.name: _tuples(obj[f.name]) for f in fields(cls) if f.name in obj})
+        return from_json(ScenarioSpec, obj)
 
 
 def report_to_json(r: CounterexampleReport) -> dict:
-    out = {
-        "name": r.name,
-        "conclusion": r.conclusion,
-        "traces": {k: trace_to_json(t) for k, t in r.traces.items()},
-        "verdicts": {k: outcome_to_json(o) for k, o in r.verdicts.items()},
-    }
-    for key in _CLAIM_LISTS:
-        claims = getattr(r, key)
-        out[key] = [{f.name: _lists(getattr(c, f.name)) for f in fields(c)} for c in claims]
-    return out
+    return to_json(r)
 
 
 def report_from_json(obj: Mapping) -> CounterexampleReport:
     """Rebuild a report bundle. Verdicts come back as their serialized kinds
     only, which is all the claims compare."""
     with _decoding("malformed report"):
-        traces = {}
-        for k, t in obj["traces"].items():
-            with _decoding(f"trace {k!r}"):
-                traces[k] = trace_from_json(t)
-        claims = {
-            key: tuple(_claim_from_json(cls, c) for c in obj.get(key, []))
-            for key, cls in _CLAIM_LISTS.items()
-        }
-        for claim in (c for group in claims.values() for c in group):
+        report = from_json(CounterexampleReport, obj)
+        groups = [getattr(report, f.name) for f in fields(report) if f.name.endswith("_claims")]
+        for claim in (c for group in groups for c in group):
             for attr in ("trace", "trace_a", "trace_b"):
                 name = getattr(claim, attr, None)
-                if name is not None and name not in traces:
+                if name is not None and name not in report.traces:
                     raise ScenarioError(f"{type(claim).__name__}.{attr} names no trace: {name!r}")
-        verdicts = obj["verdicts"]
-        if verdicts.keys() != traces.keys():
+        if report.verdicts.keys() != report.traces.keys():
             raise ScenarioError(
-                f"verdicts for {sorted(verdicts)} do not match traces {sorted(traces)}"
+                f"verdicts for {sorted(report.verdicts)} do not match traces "
+                f"{sorted(report.traces)}"
             )
-        return CounterexampleReport(
-            name=obj["name"],
-            traces=traces,
-            verdicts={k: _ReadVerdict(v["kind"]) for k, v in verdicts.items()},
-            conclusion=obj.get("conclusion", ""),
-            **claims,
-        )
-
-
-class _ReadVerdict(Outcome):
-    """A verdict read back from a report bundle: its kind and nothing else."""
-
-    __slots__ = ("kind",)
-
-    def __init__(self, kind: str):
-        self.kind = kind
+        return report

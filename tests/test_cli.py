@@ -14,10 +14,10 @@ from txmonsim.scenarios import counterexample_suite, run_dfs_only_once, run_flas
 from txmonsim.serialize import (
     dump_traces,
     load_traces,
-    record_to_json,
     report_from_json,
     report_to_json,
     scenario_from_json,
+    to_json,
 )
 
 TRMON_SCENARIO = {
@@ -170,8 +170,8 @@ def test_diff_prints_the_first_divergent_records(runner, tmp_path):
     assert result.exit_code == 1
     assert result.output.splitlines() == [
         f"tx 0: first divergent record index {j}",
-        json.dumps(record_to_json(x.records[j]), sort_keys=True),
-        json.dumps(record_to_json(y.records[j]), sort_keys=True),
+        json.dumps(to_json(x.records[j]), sort_keys=True),
+        json.dumps(to_json(y.records[j]), sort_keys=True),
     ]
 
 
@@ -281,10 +281,29 @@ def _report_with_unknown_scheduler():
     return "explain", json.dumps(bundle), "'lifo'"
 
 
+def _record_with_fractional_money():
+    lines = _trace_lines()
+    op_line = next(line for line in lines if line.get("record", {}).get("executed"))
+    op_line["record"]["executed"]["money"] = 1.5
+    return "diff", "\n".join(json.dumps(line) for line in lines), "Operation.money: expected an integer, got 1.5"
+
+
+def _obs_claim_with_string_upto():
+    bundle = report_to_json(run_dfs_only_once())
+    bundle["obs_claims"][0]["upto"] = "1"
+    return "explain", json.dumps(bundle), "ObsClaim.upto: expected an integer, got '1'"
+
+
+def _queue_claim_with_int_shape():
+    bundle = report_to_json(run_dfs_only_once())
+    bundle["queue_claims"][0]["shapes"] = [5]
+    return "explain", json.dumps(bundle), "QueueClaim.shapes: expected an array, got 5"
+
+
 def _claim_without_required_field():
     bundle = report_to_json(run_dfs_only_once())
     del bundle["obs_claims"][0]["subject"]
-    return "explain", json.dumps(bundle), "ObsClaim lacks subject"
+    return "explain", json.dumps(bundle), "ObsClaim lacks 'subject'"
 
 
 def _verdict_claim_of_unknown_trace():
@@ -318,27 +337,27 @@ def _scenario_with_int_param():
 
 def _scenario_with_list_params():
     text = _only_once_scenario(lambda o: o["contracts"][0].update(params=["x"]))
-    return "run", text, "builtin contract 'once_monitored_A'"
+    return "run", text, "ContractSpec.params: expected an object"
 
 
 def _scenario_with_list_dest():
     text = _only_once_scenario(lambda o: o["transactions"][0].update(dest=["B"]))
-    return "run", text, "malformed scenario: unhashable type"
+    return "run", text, "TxSpec.dest: expected a string"
 
 
 def _scenario_with_int_addr():
     text = _only_once_scenario(lambda o: o["contracts"][0].update(addr=5))
-    return "run", text, "malformed scenario: address 5 is not a string"
+    return "run", text, "ContractSpec.addr: expected a string, got 5"
 
 
 def _scenario_with_int_external_addr():
     text = _only_once_scenario(lambda o: o["externals"][0].update(addr=5))
-    return "run", text, "malformed scenario: address 5 is not a string"
+    return "run", text, "ExternalSpec.addr: expected a string, got 5"
 
 
 def _scenario_with_list_builtin():
     text = _only_once_scenario(lambda o: o["contracts"][0].update(builtin=["x"]))
-    return "run", text, "unknown builtin contract ['x']"
+    return "run", text, "ContractSpec.builtin: expected a string"
 
 
 def _scenario_with_tx_gas_limit():
@@ -356,6 +375,21 @@ def _scenario_with_misspelt_contract_field():
     return "run", text, "malformed scenario: unknown field 'balnce'"
 
 
+def _scenario_with_fractional_balance():
+    text = _only_once_scenario(lambda o: o["contracts"][0].update(balance=100.9))
+    return "run", text, "ContractSpec.balance: expected an integer, got 100.9"
+
+
+def _scenario_with_boolean_gas_limit():
+    text = _only_once_scenario(lambda o: o["engine"].update(gas_limit=True))
+    return "run", text, "EngineConfig.gas_limit: expected an integer, got True"
+
+
+def _scenario_with_string_money():
+    text = _only_once_scenario(lambda o: o["transactions"][0].update(money="0"))
+    return "run", text, "TxSpec.money: expected an integer, got '0'"
+
+
 def _lender_scenario(edit):
     obj = json.loads((FIXTURES / "bfs_first_lender.json").read_text())
     edit(obj)
@@ -370,6 +404,26 @@ def _client_with_int_lender_addr():
 def _client_with_list_lender_addr():
     text = _lender_scenario(lambda o: o["contracts"][1]["params"].update(l=["x"]))
     return "run", text, "address parameter 'l' is not a string: ['x']"
+
+
+def _client_with_fractional_amount():
+    text = _lender_scenario(lambda o: o["contracts"][1]["params"].update(amount=100.9))
+    return "run", text, "amount parameter 'amount' is not an integer: 100.9"
+
+
+def _client_with_boolean_repay_amount():
+    text = _lender_scenario(lambda o: o["contracts"][1]["params"].update(repay_amount=True))
+    return "run", text, "amount parameter 'repay_amount' is not an integer: True"
+
+
+def _storage_with_fractional_amount():
+    text = _lender_scenario(lambda o: o["contracts"][0].update(storage={"x": {"$amt": 1.9}}))
+    return "run", text, "ContractSpec.storage: expected an integer in $amt, got 1.9"
+
+
+def _storage_with_int_address():
+    text = _lender_scenario(lambda o: o["contracts"][0].update(storage={"x": {"$addr": 5}}))
+    return "run", text, "ContractSpec.storage: expected a string in $addr, got 5"
 
 
 @pytest.mark.parametrize(
@@ -393,6 +447,16 @@ def _client_with_list_lender_addr():
         _scenario_with_misspelt_contract_field,
         _client_with_int_lender_addr,
         _client_with_list_lender_addr,
+        _record_with_fractional_money,
+        _obs_claim_with_string_upto,
+        _queue_claim_with_int_shape,
+        _scenario_with_fractional_balance,
+        _scenario_with_boolean_gas_limit,
+        _scenario_with_string_money,
+        _client_with_fractional_amount,
+        _client_with_boolean_repay_amount,
+        _storage_with_fractional_amount,
+        _storage_with_int_address,
     ],
 )
 def test_malformed_trace_and_report_files_exit_two(runner, tmp_path, malformed):
