@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +20,7 @@ from txmonsim.core import (
     Context,
     GasExhausted,
     InsufficientBalance,
+    Mechanism,
     MonitorMode,
     Operation,
     RecordKind,
@@ -28,12 +31,13 @@ from txmonsim.core import (
     UNIT,
     VAddr,
     VAmt,
+    VBool,
     VRec,
     VSeq,
     digest,
 )
 from txmonsim.core import ContractDef
-from txmonsim.engine import EMIT_COST, Engine, EngineConfig, OP_COST, charge_gas
+from txmonsim.engine import EMIT_COST, Engine, EngineConfig, OP_COST, charge_gas, replay_step
 
 
 def run_one(registry, state, op, scheduler=SchedulerKind.DFS, gas=100, **cfg):
@@ -339,6 +343,49 @@ def test_nondeterministic_step_is_flagged_in_debug_runs():
     state = ChainState({"A": Account(storage=VRec({})), "ext": Account()})
     with pytest.raises(ScenarioError):
         run_one(registry, state, external("A"))
+
+
+def test_step_reading_first_on_alternate_evaluations_is_flagged_in_debug_runs():
+    hits = []
+
+    def flaky(view, method, param, money, storage, balance):
+        hits.append(1)
+        if len(hits) % 2:
+            view.first
+        return StepOk(storage, ())
+
+    registry = {"A": ContractDef(step=flaky)}
+    state = ChainState({"A": Account(storage=VRec({})), "ext": Account()})
+    with pytest.raises(ScenarioError, match="non-deterministic step function at A"):
+        run_one(registry, state, external("A"), mechanisms=frozenset({Mechanism.FIRST}))
+
+
+def test_step_writing_an_alternating_fail_bit_is_flagged_in_debug_runs():
+    hits = []
+
+    def flaky(view, method, param, money, storage, balance):
+        hits.append(1)
+        view.set_fail(len(hits) % 2 == 0)
+        return StepOk(storage, ())
+
+    registry = {"A": ContractDef(step=flaky)}
+    state = ChainState({"A": Account(storage=VRec({})), "ext": Account()})
+    with pytest.raises(ScenarioError, match="non-deterministic step function at A"):
+        run_one(registry, state, external("A"), mechanisms=frozenset({Mechanism.FAIL}))
+
+
+def test_replay_of_a_record_that_lost_a_reading_names_it():
+    def reads_first(view, method, param, money, storage, balance):
+        return StepOk(VRec({"first": VBool(view.first)}), ())
+
+    registry = {"A": ContractDef(step=reads_first)}
+    state = ChainState({"A": Account(storage=VRec({})), "ext": Account()})
+    res = run_one(registry, state, external("A"), mechanisms=frozenset({Mechanism.FIRST}))
+    (record,) = res.trace.ops("A")
+    assert replay_step(registry, record)[0] == VRec({"first": VBool(True)})
+    stripped = replace(record, readings={})
+    with pytest.raises(ScenarioError, match="unrecorded reading 'first'"):
+        replay_step(registry, stripped)
 
 
 def test_step_raising_a_non_contract_error_is_a_named_harness_fault():
