@@ -113,7 +113,7 @@ def run(scenario_path, scheduler, gas, mechanisms, monitor_mode, trace_out, fmt)
 @click.argument("trace_a")
 @click.argument("trace_b")
 @click.option("--subject", default=None, help="Compare this contract's observations only.")
-@click.option("--upto", type=int, default=None, help="Compare through this invocation index.")
+@click.option("--upto", type=click.IntRange(min=1), help="Compare through invocation N (from 1).")
 def diff(trace_a, trace_b, subject, upto):
     """Compare two trace files: full records, or one contract's observations."""
     try:

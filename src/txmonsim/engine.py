@@ -19,7 +19,7 @@ that recurring self-injection reliably exhausts it.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from types import SimpleNamespace
+from functools import partial
 from typing import Optional, Union
 
 from .core import (
@@ -28,7 +28,6 @@ from .core import (
     Address,
     ChainState,
     Committed,
-    ContractDef,
     ContractError,
     ContractFail,
     Context,
@@ -55,12 +54,10 @@ from .core import (
     Trace,
     TraceMeta,
     Value,
-    as_bool,
-    as_int,
     digest,
     storage_digest,
 )
-from .mechanisms import ContextView, DerivedView, fold_effects, run_hookups
+from .mechanisms import READINGS, ContextView, fold_effects, run_hookups
 
 OP_COST = 1
 EMIT_COST = 1
@@ -201,11 +198,11 @@ class Engine:
             return ContractFail(op.dest, str(exc))
         acct = state.get(op.dest)
 
-        view = self._make_view(ctx, op, contract, rest, acct.storage)
+        view = ContextView(ctx, op.dest, contract, cfg.mechanisms, rest, acct.storage)
         try:
             result = contract.step(view, op.method, op.param, op.money, acct.storage, acct.balance)
             if self.debug:
-                self._audit_purity(ctx, op, contract, rest, acct.balance, acct.storage, view, result)
+                self._audit_purity(view, op, acct.balance, result)
         except ContractError as exc:
             return ContractFail(op.dest, str(exc))
         except ScenarioError:
@@ -235,7 +232,7 @@ class Engine:
         charged = charge_gas(ctx, EMIT_COST * len(emitted))
         if charged is None:
             return GasExhausted()
-        ctx = fold_effects(charged, view)
+        ctx = fold_effects(charged, op.dest, view.effects)
 
         state = state.with_storage(op.dest, result.new_storage)
         if cfg.scheduler is SchedulerKind.DFS:
@@ -303,34 +300,11 @@ class Engine:
 
     # -- helpers ---------------------------------------------------------------
 
-    def _make_view(
-        self,
-        ctx: Context,
-        op: Operation,
-        contract: ContractDef,
-        pending: tuple[Operation, ...],
-        storage: Value,
-    ) -> ContextView:
-        return ContextView(
-            ctx=ctx,
-            self_addr=op.dest,
-            contract=contract,
-            enabled=self.config.mechanisms,
-            pending=pending,
-            storage=storage,
-        )
-
-    def _audit_purity(self, ctx, op, contract, pending, balance, storage, view, result):
-        """Evaluate the step a second time and demand identical behaviour."""
-        view2 = self._make_view(ctx, op, contract, pending, storage)
-        result2 = contract.step(view2, op.method, op.param, op.money, storage, balance)
-        same = (
-            result == result2
-            and view.readings == view2.readings
-            and view.fail_write == view2.fail_write
-            and view.txmem_value == view2.txmem_value
-        )
-        if not same:
+    def _audit_purity(self, view: ContextView, op: Operation, balance: int, result) -> None:
+        """Evaluate the step again on a fresh view; demand equal results, readings and writes."""
+        again = replace(view, readings={}, effects={})
+        result2 = view.contract.step(again, op.method, op.param, op.money, view.storage, balance)
+        if (result, view.readings, view.effects) != (result2, again.readings, again.effects):
             raise ScenarioError(f"non-deterministic step function at {op.dest}")
 
     def _validate_external(self, state: ChainState, external: Operation) -> None:
@@ -376,24 +350,16 @@ def replay_step(registry: Registry, record: StepRecord) -> tuple[Value, tuple[Op
     contract = registry[record.subject]
     readings = dict(record.readings)  # a replayed txmem write lands here
 
-    def served(name: str) -> Value:
+    def served(query: str):
+        name, _, untag = READINGS[query]
         if name not in readings:
             raise ScenarioError(f"replay asked for unrecorded reading {name!r}")
-        return readings[name]
+        return untag(readings[name])
 
-    inputs = SimpleNamespace(
-        self_addr=record.subject,
-        storage=record.storage_before,
-        note_reading=lambda name, value: None,
-    )
-    view = DerivedView(
-        inputs,
-        first=lambda: as_bool(served("first")),
-        count=lambda: as_int(served("count")),
-        queue=lambda: as_bool(served("queue")),
-        txmem=lambda: served("txmem_in"),
-        set_txmem=lambda value: readings.__setitem__("txmem_in", value),
-        set_fail=lambda value: None,
+    view = ContextView(Context(), record.subject, contract, frozenset(), (), record.storage_before)
+    view = view.derive(
+        set_txmem=partial(readings.__setitem__, READINGS["txmem"][0]), set_fail=lambda value: None,
+        **{query: partial(served, query) for query in READINGS},
     )
     op = record.executed
     result = contract.step(view, op.method, op.param, op.money, record.storage_before, record.balance_seen)

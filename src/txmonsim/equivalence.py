@@ -50,6 +50,7 @@ from .core import (
     as_text,
 )
 from .engine import Engine, EngineConfig
+from .mechanisms import READINGS
 from .transformers import (
     TransformedContract,
     monitor_storage_of,
@@ -110,12 +111,8 @@ def make_subject(profile: str, hook_spec: tuple = ()) -> tuple[ContractDef, Valu
         script = as_rec(param) if isinstance(param, VRec) else VRec({})
         log = list(as_seq(s.get("log", VSeq())))
 
-        if profile == "count":
-            log.append(VInt(view.count))
-        elif profile == "first":
-            log.append(VBool(view.first))
-        elif profile == "txmem":
-            log.append(view.txmem)
+        if profile in READINGS:  # log the profiled query's answer, tagged as a trace logs it
+            log.append(READINGS[profile][1](getattr(view, profile)))
 
         emitted = list(_interpret_calls(script.get("calls", VSeq())))
         for entry in as_seq(script.get("acts", VSeq())):
@@ -123,24 +120,13 @@ def make_subject(profile: str, hook_spec: tuple = ()) -> tuple[ContractDef, Valu
             kind = as_text(r.get("kind"))
             if kind == "bump":
                 s = s.set("n", VInt(as_int(s.get("n", VInt(0))) + 1))
-            elif kind == "fail_on":
-                view.set_fail(True)
-            elif kind == "fail_off":
-                view.set_fail(False)
-            elif kind == "flag_on":
-                s = s.set("flag", VBool(True))
-            elif kind == "flag_off":
-                s = s.set("flag", VBool(False))
+            elif kind in ("fail_on", "fail_off"):
+                view.set_fail(kind == "fail_on")
+            elif kind in ("flag_on", "flag_off"):
+                s = s.set("flag", VBool(kind == "flag_on"))
             elif kind == "mem_bump":
-                seg = as_rec(view.txmem)
-                view.set_txmem(
-                    VRec(
-                        {
-                            "flag": VBool(False),
-                            "acc": VInt(as_int(seg.get("acc")) + 1),
-                        }
-                    )
-                )
+                acc = as_int(as_rec(view.txmem).get("acc"))
+                view.set_txmem(VRec({"flag": VBool(False), "acc": VInt(acc + 1)}))
             elif kind == "send":
                 emitted.append(call(S, "receive", money=as_amt(r.get("amt"))))
             else:
@@ -311,9 +297,6 @@ class TransformerCase:
     aborts: Mapping[type, type] = field(default_factory=dict)
 
 
-# The trace reading that holds what a profile's subject logs.
-READING_KEYS = {"count": "count", "first": "first", "txmem": "txmem_in"}
-
 CASES: dict[str, TransformerCase] = {
     c.name: c
     for c in (
@@ -369,22 +352,16 @@ WRAPPER_METHOD_PREFIX = "__"
 
 
 def _subject_readings(trace: Trace, key: str) -> list[Value]:
-    out = []
-    for r in trace.ops(T):
-        if r.executed.method.startswith(WRAPPER_METHOD_PREFIX):
-            continue
-        if key in r.readings:
-            out.append(r.readings[key])
-    return out
+    return [
+        r.readings[key] for r in trace.ops(T)
+        if key in r.readings and not r.executed.method.startswith(WRAPPER_METHOD_PREFIX)
+    ]
 
 
 def _third_party_ops(trace: Trace) -> list[tuple]:
-    out = []
-    for r in trace.ops(T):
-        for e in r.emitted:
-            if e.dest != T:
-                out.append((e.dest, e.method, e.param, e.money))
-    return out
+    return [
+        (e.dest, e.method, e.param, e.money) for r in trace.ops(T) for e in r.emitted if e.dest != T
+    ]
 
 
 def _build_states(
@@ -431,7 +408,7 @@ class DiffReport:
 
 def run_case(case: TransformerCase, seeds: range) -> DiffReport:
     report = DiffReport(case=case.name)
-    reading_key = READING_KEYS.get(case.profile)
+    reading_key = READINGS[case.profile][0] if case.profile in READINGS else None
     for seed in seeds:
         scenario = generate_scenario(case.profile, seed, scheduler=case.scheduler)
         subject, storage0, monitor0 = make_subject(case.profile, scenario.hook_spec)

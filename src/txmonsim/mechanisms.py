@@ -1,16 +1,19 @@
 """Per-operation mechanism surface and end-of-transaction mechanism phases.
 
-Contracts see mechanisms only through a ContextView handed to their step
-function: first/count/queue queries, the transaction-memory segment, and the
-per-contract fail bit. Querying a mechanism the engine has disabled is a
-contract failure, which lets tests prove a contract does *not* depend on it.
+Contracts see mechanisms only through the ContextView handed to their step
+function: the first/count/queue/txmem queries and the set_fail/set_txmem
+writes. The engine's view answers from the transaction context; querying a
+mechanism the engine has disabled is a contract failure, which lets tests
+prove a contract does *not* depend on it. A transformer derives a view that
+answers some queries itself, and replay answers every query from a trace
+record. `READINGS` names the reading each query is logged under.
 """
 
 from __future__ import annotations
 
 import contextvars
 from dataclasses import dataclass, field
-from typing import Callable, Optional
+from typing import Any, Callable, Mapping, Optional
 
 from .core import (
     Address,
@@ -22,6 +25,8 @@ from .core import (
     VBool,
     VInt,
     Value,
+    as_bool,
+    as_int,
 )
 
 
@@ -75,14 +80,38 @@ def run_bounded_hook(hook, storage: Value, balance: int, addr: Address) -> Value
         _hook_meter.reset(token)
 
 
+# Per query: the reading name a record carries, the tag the answer is logged
+# with, and the reader that turns a logged reading back into the answer.
+READINGS: dict[str, tuple[str, Callable[[Any], Value], Callable[[Value], Any]]] = {
+    "first": ("first", VBool, as_bool),
+    "count": ("count", VInt, as_int),
+    "queue": ("queue", VBool, as_bool),
+    "txmem": ("txmem_in", lambda value: value, lambda value: value),
+}
+_ANSWERABLE = frozenset(READINGS) | {"set_fail", "set_txmem"}
+
+
+def _query(live: Callable) -> property:
+    """The view query named after `live`: answered by `answers` if it names
+    the query, else by `live`, and logged under the query's reading name.
+    The first read wins: replays and observation diffs see the original."""
+    query = live.__name__
+    name, tag, _ = READINGS[query]
+
+    def read(view: "ContextView"):
+        answer = view.answers.get(query)
+        value = live(view) if answer is None else answer()
+        view.readings.setdefault(name, tag(value))
+        return value
+
+    return property(read, doc=live.__doc__)
+
+
 @dataclass
 class ContextView:
-    """Read surface handed to a step function for one operation.
-
-    Mechanism effects (fail-bit writes, txmem writes) are buffered here and
-    folded into the transaction context by the engine after a successful step;
-    every query is also logged so traces carry what the contract actually saw.
-    """
+    """Read surface handed to a step function for one operation. Readings
+    are logged so traces carry what the contract actually saw; writes are
+    buffered in `effects`, by mechanism, until the engine folds them."""
 
     ctx: Context
     self_addr: Address
@@ -92,117 +121,86 @@ class ContextView:
     storage: Value
 
     readings: dict[str, Value] = field(default_factory=dict)
-    fail_write: Optional[bool] = None
-    txmem_value: Optional[Value] = None
+    effects: dict[Mechanism, Any] = field(default_factory=dict)
+    answers: dict[str, Callable] = field(default_factory=dict)
 
-    # -- mechanism queries ---------------------------------------------------
+    def derive(self, **answers: Callable) -> "ContextView":
+        """A view whose named queries (called with no argument) or writes
+        (called with the written value) are answered by the given callables.
+        It keeps every other answer of this view and shares its reading log
+        and write buffer."""
+        unknown = answers.keys() - _ANSWERABLE
+        if unknown:
+            raise TypeError(f"cannot answer {sorted(unknown)}")
+        return ContextView(
+            self.ctx, self.self_addr, self.contract, self.enabled, self.pending, self.storage,
+            self.readings, self.effects, {**self.answers, **answers},
+        )
 
     def _require(self, mech: Mechanism) -> None:
         if mech not in self.enabled:
             raise MechanismDisabled(mech, self.self_addr)
 
-    @property
+    # -- mechanism queries and writes ------------------------------------------
+
+    @_query
     def first(self) -> bool:
         """True iff the executing operation is this contract's first in the
         current transaction (the running count, inclusive, is one)."""
         self._require(Mechanism.FIRST)
-        value = self.ctx.count_of(self.self_addr) == 1
-        self.note_reading("first", VBool(value))
-        return value
+        return self.ctx.count_of(self.self_addr) == 1
 
-    @property
+    @_query
     def count(self) -> int:
         """Invocations of this contract started so far this transaction,
         including the executing one."""
         self._require(Mechanism.COUNT)
-        value = self.ctx.count_of(self.self_addr)
-        self.note_reading("count", VInt(value))
-        return value
+        return self.ctx.count_of(self.self_addr)
 
-    @property
+    @_query
     def queue(self) -> bool:
         """True iff every pending operation (the executing one excluded) is a
         recurring operation, i.e. no further inter-contract interaction."""
         self._require(Mechanism.QUEUE)
-        value = all(op.recurring for op in self.pending)
-        self.note_reading("queue", VBool(value))
-        return value
+        return all(op.recurring for op in self.pending)
+
+    @_query
+    def txmem(self) -> Value:
+        """This contract's transaction-memory segment, as last written in
+        this transaction, or else built by the contract's initializer."""
+        self._require(Mechanism.TXMEM)
+        current = self.effects.get(Mechanism.TXMEM, self.ctx.txmem.get(self.self_addr))
+        if current is None:
+            if self.contract.txmem_init is None:
+                raise ContractError(f"contract {self.self_addr} reads txmem without an initializer")
+            current = self.contract.txmem_init(self.storage)
+        self.effects[Mechanism.TXMEM] = current
+        return current
 
     def set_fail(self, value: bool) -> None:
         """Assign this contract's fail bit; any bit still true when the
         transaction drains aborts it."""
-        self._require(Mechanism.FAIL)
-        self.fail_write = bool(value)
-
-    @property
-    def txmem(self) -> Value:
-        self._require(Mechanism.TXMEM)
-        if self.txmem_value is None:
-            current = self.ctx.txmem.get(self.self_addr)
-            if current is None:
-                if self.contract.txmem_init is None:
-                    raise ContractError(
-                        f"contract {self.self_addr} reads txmem without an initializer"
-                    )
-                current = self.contract.txmem_init(self.storage)
-            self.txmem_value = current
-        self.note_reading("txmem_in", self.txmem_value)
-        return self.txmem_value  # type: ignore[return-value]
+        self._write("set_fail", Mechanism.FAIL, bool(value))
 
     def set_txmem(self, value: Value) -> None:
-        self._require(Mechanism.TXMEM)
-        self.txmem_value = value
+        self._write("set_txmem", Mechanism.TXMEM, value)
 
-    # -- bookkeeping -----------------------------------------------------------
-
-    def note_reading(self, name: str, value: Value) -> None:
-        """Record a (possibly simulated) mechanism reading for the trace.
-        First read wins: replays and observation diffs see the original."""
-        self.readings.setdefault(name, value)
-
-
-class DerivedView:
-    """A step view built over another: the given callables answer the
-    `first`, `count`, `queue` and `txmem` queries (called with no argument)
-    and take the `set_txmem`/`set_fail` writes; every other read falls
-    through to `base`. An answered query is noted on `base` under the name
-    and tag a `ContextView` logs it with, so traces carry the simulated
-    reading. Over an engine view, a query against a mechanism the engine
-    really disables still reaches it and faults."""
-
-    READINGS: dict[str, tuple[str, Optional[Callable]]] = {
-        "first": ("first", VBool),
-        "count": ("count", VInt),
-        "queue": ("queue", VBool),
-        "txmem": ("txmem_in", None),
-    }
-    MEMBERS = frozenset(READINGS) | {"set_txmem", "set_fail"}
-
-    def __init__(self, base, **overrides: Callable):
-        if not self.MEMBERS.issuperset(overrides):
-            raise TypeError(f"cannot override {sorted(overrides.keys() - self.MEMBERS)}")
-        self._base = base
-        self._overrides = overrides
-
-    def __getattr__(self, name: str):
-        override = self._overrides.get(name)
-        if override is None:
-            return getattr(self._base, name)
-        reading = self.READINGS.get(name)
-        if reading is None:
-            return override
-        value = override()
-        key, tag = reading
-        self._base.note_reading(key, value if tag is None else tag(value))
-        return value
+    def _write(self, query: str, mech: Mechanism, value) -> None:
+        answer = self.answers.get(query)
+        if answer is not None:
+            answer(value)
+            return
+        self._require(mech)
+        self.effects[mech] = value
 
 
-def fold_effects(ctx: Context, view: ContextView) -> Context:
-    """Apply a successful step's buffered mechanism effects to the context."""
-    if view.txmem_value is not None:
-        ctx = ctx.with_txmem(view.self_addr, view.txmem_value)
-    if view.fail_write is not None:
-        ctx = ctx.with_fail_bit(view.self_addr, view.fail_write)
+def fold_effects(ctx: Context, addr: Address, effects: Mapping[Mechanism, Any]) -> Context:
+    """Apply a successful step's buffered mechanism writes at `addr` to the
+    context."""
+    if Mechanism.TXMEM in effects:
+        ctx = ctx.with_txmem(addr, effects[Mechanism.TXMEM])
+    if Mechanism.FAIL in effects:
+        ctx = ctx.with_fail_bit(addr, effects[Mechanism.FAIL])
     return ctx
 
 

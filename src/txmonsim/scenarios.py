@@ -283,6 +283,9 @@ def verify_report(report: CounterexampleReport) -> list[str]:
         if got != qc.shapes:
             problems.append(f"{report.name}/{qc.trace}: queue shapes {got} != {qc.shapes}")
     for oc in report.obs_claims:
+        if oc.upto is not None and oc.upto < 1:
+            problems.append(f"{report.name}: obs claim upto={oc.upto}; invocations count from 1")
+            continue
         res = check_obs_equivalence(
             report.traces[oc.trace_a], report.traces[oc.trace_b], oc.subject, oc.upto
         )
@@ -294,13 +297,12 @@ def verify_report(report: CounterexampleReport) -> list[str]:
     for cc in report.cross_obs_claims:
         obs_a = observations_of(report.traces[cc.trace_a], cc.subject)
         obs_b = observations_of(report.traces[cc.trace_b], cc.subject)
-        try:
-            a = obs_a[cc.invocation_a - 1]
-            b = obs_b[cc.invocation_b - 1]
-        except IndexError:
-            problems.append(f"{report.name}: cross-observation index out of range")
+        if not (0 < cc.invocation_a <= len(obs_a) and 0 < cc.invocation_b <= len(obs_b)):
+            problems.append(
+                f"{report.name}: cross-observation index out of range (invocations count from 1)"
+            )
             continue
-        if not a.same_view(b):
+        if not obs_a[cc.invocation_a - 1].same_view(obs_b[cc.invocation_b - 1]):
             problems.append(
                 f"{report.name}: invocation {cc.invocation_a} of {cc.trace_a} and "
                 f"invocation {cc.invocation_b} of {cc.trace_b} differ for {cc.subject}"

@@ -36,6 +36,7 @@ from typing import Any, Callable, Iterator, Optional, Union, get_args, get_origi
 from .core import (
     Committed,
     Outcome,
+    RecordKind,
     ScenarioError,
     StepRecord,
     Trace,
@@ -294,6 +295,14 @@ def dump_traces(traces: list[Trace]) -> str:
     return "\n".join(lines) + "\n"
 
 
+def _require_executed(record: StepRecord, where: str) -> StepRecord:
+    """The one relation between record fields that the types leave open:
+    an op record names the operation it executed."""
+    if record.kind is RecordKind.OP and record.executed is None:
+        raise ScenarioError(f"{where}: op record {record.index} has no executed operation")
+    return record
+
+
 def load_traces(text: str) -> list[Trace]:
     metas: list[TraceMeta] = []
     records: list[list[StepRecord]] = []
@@ -312,7 +321,8 @@ def load_traces(text: str) -> list[Trace]:
                 tx = obj["tx"]
                 if not (type(tx) is int and 0 <= tx < len(records)):
                     raise ScenarioError(f"record of transaction {tx!r}, which has no meta line")
-                records[tx].append(from_json(StepRecord, obj["record"]))
+                record = from_json(StepRecord, obj["record"])
+                records[tx].append(_require_executed(record, f"transaction {tx}"))
             else:
                 raise ScenarioError(f"unrecognized trace line: {line[:80]}")
     return [Trace(meta=m, records=tuple(rs)) for m, rs in zip(metas, records)]
@@ -338,6 +348,9 @@ def report_from_json(obj: Mapping) -> CounterexampleReport:
                 name = getattr(claim, attr, None)
                 if name is not None and name not in report.traces:
                     raise ScenarioError(f"{type(claim).__name__}.{attr} names no trace: {name!r}")
+        for name, trace in report.traces.items():
+            for record in trace.records:
+                _require_executed(record, f"trace {name!r}")
         if report.verdicts.keys() != report.traces.keys():
             raise ScenarioError(
                 f"verdicts for {sorted(report.verdicts)} do not match traces "

@@ -40,7 +40,6 @@ from .core import (
     as_int,
     as_rec,
 )
-from .mechanisms import DerivedView
 
 FAIL_POLL = "__fail_poll"
 USTORE_POLL = "__ustore_poll"
@@ -117,8 +116,7 @@ def sim_count_via_first(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         n = 1 if view.first else as_int(s.get("sim_count")) + 1
-        derived = DerivedView(view, count=lambda: n)
-        res = c.step(derived, method, param, money, s.get("base"), balance)
+        res = c.step(view.derive(count=lambda: n), method, param, money, s.get("base"), balance)
         if not isinstance(res, StepOk):
             return res
         return StepOk(VRec({"base": res.new_storage, "sim_count": VInt(n)}), res.emitted)
@@ -133,7 +131,7 @@ def sim_first_via_count(c: ContractDef) -> TransformedContract:
     _require_uses(c, frozenset({Mechanism.FIRST}), "sim_first_via_count")
 
     def step(view, method, param, money, storage, balance) -> StepResult:
-        derived = DerivedView(view, first=lambda: view.count == 1)
+        derived = view.derive(first=lambda: view.count == 1)
         return c.step(derived, method, param, money, storage, balance)
 
     return _transformed(c, step, {Mechanism.COUNT})
@@ -145,7 +143,7 @@ def sim_first_via_txmem(c: ContractDef) -> TransformedContract:
     _require_uses(c, frozenset({Mechanism.FIRST}), "sim_first_via_txmem")
 
     def step(view, method, param, money, storage, balance) -> StepResult:
-        derived = DerivedView(view, first=lambda: as_bool(view.txmem))
+        derived = view.derive(first=lambda: as_bool(view.txmem))
         res = c.step(derived, method, param, money, storage, balance)
         if isinstance(res, StepOk):
             view.set_txmem(VBool(False))
@@ -166,7 +164,7 @@ def sim_txmem_via_first(c: ContractDef) -> TransformedContract:
         base = s.get("base")
         buf = [c.txmem_init(base) if view.first else s.get("sim_txmem")]
         res = c.step(
-            DerivedView(view, txmem=lambda: buf[0], set_txmem=lambda v: buf.__setitem__(0, v)),
+            view.derive(txmem=lambda: buf[0], set_txmem=lambda v: buf.__setitem__(0, v)),
             method, param, money, base, balance,
         )
         if not isinstance(res, StepOk):
@@ -211,9 +209,7 @@ def sim_first_via_bstore(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         flag = as_bool(s.get("b_fst"))
-        res = c.step(
-            DerivedView(view, first=lambda: flag), method, param, money, s.get("base"), balance
-        )
+        res = c.step(view.derive(first=lambda: flag), method, param, money, s.get("base"), balance)
         if not isinstance(res, StepOk):
             return res
         return StepOk(VRec({"base": res.new_storage, "b_fst": VBool(False)}), res.emitted)
@@ -240,7 +236,7 @@ def sim_fail_via_ustore(c: ContractDef) -> TransformedContract:
         s = as_rec(storage)
         bit = [as_bool(s.get("fl"))]
         res = c.step(
-            DerivedView(view, set_fail=lambda v: bit.__setitem__(0, bool(v))),
+            view.derive(set_fail=lambda v: bit.__setitem__(0, v)),
             method, param, money, s.get("base"), balance,
         )
         if not isinstance(res, StepOk):
@@ -331,7 +327,7 @@ def sim_fail_via_recurring_bfs(c: ContractDef) -> TransformedContract:
             return StepOk(s.set("poll", VBool(False)))
         bit = [as_bool(s.get("fl"))]
         res = c.step(
-            DerivedView(view, set_fail=lambda v: bit.__setitem__(0, bool(v))),
+            view.derive(set_fail=lambda v: bit.__setitem__(0, v)),
             method, param, money, s.get("base"), balance,
         )
         if not isinstance(res, StepOk):

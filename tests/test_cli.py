@@ -10,7 +10,13 @@ from click.testing import CliRunner
 
 from txmonsim.cli import main
 from txmonsim.engine import Engine
-from txmonsim.scenarios import counterexample_suite, run_dfs_only_once, run_flashloan_suite
+from txmonsim.scenarios import (
+    counterexample_suite,
+    run_bfs_only_once,
+    run_dfs_no_queue,
+    run_dfs_only_once,
+    run_flashloan_suite,
+)
 from txmonsim.serialize import (
     dump_traces,
     load_traces,
@@ -288,6 +294,20 @@ def _record_with_fractional_money():
     return "diff", "\n".join(json.dumps(line) for line in lines), "Operation.money: expected an integer, got 1.5"
 
 
+def _trace_with_op_record_without_executed():
+    lines = _trace_lines()
+    op_line = next(line for line in lines if line.get("record", {}).get("kind") == "op")
+    op_line["record"]["executed"] = None
+    return "diff", "\n".join(json.dumps(line) for line in lines), "has no executed operation"
+
+
+def _report_with_op_record_without_executed():
+    bundle = report_to_json(run_dfs_no_queue())
+    bundle["traces"]["busy_plain"]["records"][1]["executed"] = None
+    named = "trace 'busy_plain': op record 1 has no executed operation"
+    return "explain", json.dumps(bundle), named
+
+
 def _obs_claim_with_string_upto():
     bundle = report_to_json(run_dfs_only_once())
     bundle["obs_claims"][0]["upto"] = "1"
@@ -448,6 +468,8 @@ def _storage_with_int_address():
         _client_with_int_lender_addr,
         _client_with_list_lender_addr,
         _record_with_fractional_money,
+        _trace_with_op_record_without_executed,
+        _report_with_op_record_without_executed,
         _obs_claim_with_string_upto,
         _queue_claim_with_int_shape,
         _scenario_with_fractional_balance,
@@ -467,3 +489,54 @@ def test_malformed_trace_and_report_files_exit_two(runner, tmp_path, malformed):
     result = runner.invoke(main, args)
     assert result.exit_code == 2, result.output
     assert named in result.output
+
+
+def test_diff_subject_on_op_record_without_executed_exits_two(runner, tmp_path):
+    _, text, named = _trace_with_op_record_without_executed()
+    path = tmp_path / "t.trace"
+    path.write_text(text)
+    result = runner.invoke(main, ["diff", str(path), str(path), "--subject", "A"])
+    assert result.exit_code == 2, result.output
+    assert named in result.output
+
+
+@pytest.mark.parametrize("index", [0, -1])
+def test_explain_fails_a_cross_claim_index_below_one(runner, tmp_path, index):
+    bundle = report_to_json(run_bfs_only_once())
+    bundle["cross_obs_claims"][0].update(invocation_a=index, invocation_b=index)
+    path = write(tmp_path, "r.json", bundle)
+    result = runner.invoke(main, ["explain", path])
+    assert result.exit_code == 1, result.output
+    assert "cross-observation index out of range" in result.output
+    assert "all claims verified" not in result.output
+
+
+def _no_queue_split():
+    """dfs_no_queue's obs claim re-pointed at two runs whose first
+    invocations of A differ."""
+    bundle = report_to_json(run_dfs_no_queue())
+    bundle["obs_claims"][0]["trace_b"] = "busy_probed"
+    return bundle
+
+
+def test_explain_fails_an_obs_claim_upto_zero(runner, tmp_path):
+    bundle = _no_queue_split()
+    path = write(tmp_path, "r.json", bundle)
+    assert runner.invoke(main, ["explain", path]).exit_code == 1
+    bundle["obs_claims"][0]["upto"] = 0
+    path = write(tmp_path, "r0.json", bundle)
+    result = runner.invoke(main, ["explain", path])
+    assert result.exit_code == 1, result.output
+    assert "upto=0; invocations count from 1" in result.output
+
+
+def test_diff_upto_below_one_exits_two(runner, tmp_path):
+    report = run_dfs_no_queue()
+    a, b = tmp_path / "a.trace", tmp_path / "b.trace"
+    a.write_text(dump_traces([report.traces["busy_plain"]]))
+    b.write_text(dump_traces([report.traces["busy_probed"]]))
+    split = runner.invoke(main, ["diff", str(a), str(b), "--subject", "A", "--upto", "1"])
+    assert split.exit_code == 1, split.output
+    result = runner.invoke(main, ["diff", str(a), str(b), "--subject", "A", "--upto", "0"])
+    assert result.exit_code == 2, result.output
+    assert "traces equal" not in result.output

@@ -40,7 +40,6 @@ from txmonsim.mechanisms import (
     BStoreBudgetError,
     BSTORE_STEP_BUDGET,
     ContextView,
-    DerivedView,
     hook_tick,
 )
 
@@ -431,6 +430,6 @@ def test_derived_view_logs_its_simulated_readings_on_the_engine_view():
         pending=(),
         storage=VRec({}),
     )
-    view = DerivedView(base, first=lambda: True, count=lambda: 7)
+    view = base.derive(first=lambda: True, count=lambda: 7)
     assert view.first is True and view.count == 7
     assert base.readings == {"first": VBool(True), "count": VInt(7)}
