@@ -196,11 +196,13 @@ class ContextView:
 
 def fold_effects(ctx: Context, addr: Address, effects: Mapping[Mechanism, Any]) -> Context:
     """Apply a successful step's buffered mechanism writes at `addr` to the
-    context."""
-    if Mechanism.TXMEM in effects:
-        ctx = ctx.with_txmem(addr, effects[Mechanism.TXMEM])
-    if Mechanism.FAIL in effects:
-        ctx = ctx.with_fail_bit(addr, effects[Mechanism.FAIL])
+    context. Iterating, not testing for each key, costs nothing when the step
+    wrote nothing: a Mechanism key hashes in Python code."""
+    for mech, value in effects.items():
+        if mech is Mechanism.TXMEM:
+            ctx = ctx.with_txmem(addr, value)
+        else:
+            ctx = ctx.with_fail_bit(addr, value)
     return ctx
 
 
