@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import basic_state, value_strategy
 from txmonsim import core
@@ -12,6 +16,7 @@ from txmonsim.core import (
     ChainState,
     ContractError,
     Operation,
+    ScenarioError,
     UNIT,
     VAmt,
     VBool,
@@ -55,6 +60,86 @@ def test_value_blob_cache_stays_bounded():
         digest(ChainState({"A": Account(storage=VInt(i))}))
     assert core._value_blob.cache_info().currsize == bound
     core._value_blob.cache_clear()
+
+
+def _reference_digests(state: ChainState) -> tuple[str, str]:
+    """The digest definition written out: SHA-256 over the sorted accounts."""
+
+    def blob(v):
+        return json.dumps(canon(v), separators=(",", ":"))
+
+    full = "|".join(
+        f"{addr}={blob(acct.storage)}:{acct.balance}:{blob(acct.monitor_storage)}"
+        for addr, acct in sorted(state.items())
+    )
+    storage = "|".join(f"{addr}={blob(acct.storage)}" for addr, acct in sorted(state.items()))
+    return hashlib.sha256(full.encode()).hexdigest(), hashlib.sha256(storage.encode()).hexdigest()
+
+
+_ADDRS = ("A", "B", "C", "D", "E")
+_SMALL_VALUES = st.one_of(
+    st.just(UNIT), st.integers(-3, 3).map(VInt), st.text("xy", max_size=2).map(VText)
+)
+_UPDATES = st.one_of(
+    st.tuples(
+        st.just("account"), st.sampled_from(_ADDRS), _SMALL_VALUES, st.integers(0, 30), _SMALL_VALUES
+    ),
+    st.tuples(st.just("storage"), st.sampled_from(_ADDRS), _SMALL_VALUES),
+    st.tuples(st.just("monitor"), st.sampled_from(_ADDRS), _SMALL_VALUES),
+    st.tuples(st.just("move"), st.sampled_from(_ADDRS), st.sampled_from(_ADDRS), st.integers(0, 12)),
+)
+# (which earlier state to extend, the update, which digests to read right after)
+_STEPS = st.lists(
+    st.tuples(
+        st.integers(0, 40), _UPDATES, st.sampled_from(("none", "digest", "storage", "both"))
+    ),
+    max_size=30,
+)
+
+
+def _apply(state: ChainState, update: tuple) -> ChainState:
+    kind, addr, *args = update
+    if kind == "account":
+        storage, balance, monitor = args
+        return state.with_account(addr, Account(storage, balance, monitor))
+    if not state.has(addr):
+        raise ScenarioError("no such account")
+    if kind == "storage":
+        return state.with_storage(addr, args[0])
+    if kind == "monitor":
+        return state.with_monitor_storage(addr, args[0])
+    dest, money = args
+    if not state.has(dest):
+        raise ScenarioError("no such account")
+    return state.move(addr, dest, money)
+
+
+@given(_STEPS)
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_digests_of_updated_states_match_the_definition(steps):
+    # Updates branch from earlier states, digested or not, and add accounts;
+    # every digest must equal the definition and a from-scratch rebuild, and
+    # a digest once read never changes.
+    states = [ChainState({"A": Account(balance=10), "B": Account(storage=VInt(1), balance=5), "C": Account()})]
+    seen: dict[int, dict[str, str]] = {}
+    for pick, update, read in steps:
+        try:
+            child = _apply(states[pick % len(states)], update)
+        except ScenarioError:
+            continue
+        states.append(child)
+        if read in ("digest", "both"):
+            seen.setdefault(len(states) - 1, {})["digest"] = digest(child)
+        if read in ("storage", "both"):
+            seen.setdefault(len(states) - 1, {})["storage"] = storage_digest(child)
+    for i in reversed(range(len(states))):
+        state = states[i]
+        want = _reference_digests(state)
+        assert (digest(state), storage_digest(state)) == want
+        fresh = ChainState(dict(state.items()))
+        assert (digest(fresh), storage_digest(fresh)) == want
+        assert seen.get(i, {}).get("digest", want[0]) == want[0]
+        assert seen.get(i, {}).get("storage", want[1]) == want[1]
 
 
 def test_digest_is_order_independent_over_addresses():
