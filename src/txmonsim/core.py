@@ -4,6 +4,13 @@ context, contract definitions, outcomes, and trace records.
 Every type here is immutable after construction. The execution engine threads
 fresh snapshots through a transaction instead of mutating in place, which is
 what makes abort-time rollback and trace digests trivial to get right.
+
+A `ChainState` digest is a SHA-256 over one segment per account in address
+order. A digested state keeps those segments, and a state made from it by an
+update that keeps the address set rebuilds only the segments of the accounts
+it changed, so a trace record costs O(changed accounts) in Python rather than
+O(accounts). States built from a mapping, or by an update that adds an
+address, build every segment. The digest bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -261,14 +268,28 @@ class ChainState:
 
     Functional updates return new snapshots; a held reference never changes,
     so pre-transaction states survive aborts untouched.
+
+    A digested state keeps its digest payload: its sorted address order, as
+    an address -> position map shared by every state with the same address
+    set, and in that order one storage segment and one full segment per
+    account. An update that keeps the address set remembers the nearest
+    digested ancestor and the addresses changed since; the child's first
+    digest copies that ancestor's segments, rebuilds only the changed ones
+    and drops the ancestor. A state built from a mapping, or by an update
+    that adds an address, builds every segment. Either way the digest bytes
+    are the same.
     """
 
-    __slots__ = ("_accounts", "_digest", "_storage_digest")
+    __slots__ = ("_accounts", "_digest", "_storage_digest", "_payload", "_base", "_changed")
 
     def __init__(self, accounts: Mapping[Address, Account] = ()):
         self._accounts: dict[Address, Account] = dict(accounts)
         self._digest: Optional[str] = None
         self._storage_digest: Optional[str] = None
+        # (address -> position, storage segments, full segments), once digested
+        self._payload: Optional[tuple[dict[Address, int], list[str], list[str]]] = None
+        self._base: Optional[ChainState] = None
+        self._changed: frozenset[Address] = frozenset()
 
     def get(self, addr: Address) -> Account:
         try:
@@ -291,16 +312,29 @@ class ChainState:
     def total_supply(self) -> int:
         return sum(a.balance for a in self._accounts.values())
 
+    def _update(self, changes: dict[Address, Account]) -> "ChainState":
+        """The one account-dict copy of every update; the child carries the
+        digest payload when the address set stays the same."""
+        out = ChainState()
+        accounts = out._accounts = dict(self._accounts)
+        accounts.update(changes)
+        if len(accounts) == len(self._accounts):
+            if self._payload is not None:
+                out._base, out._changed = self, frozenset(changes)
+            elif self._base is not None:
+                out._base, out._changed = self._base, self._changed.union(changes)
+        return out
+
     def with_account(self, addr: Address, account: Account) -> "ChainState":
-        out = dict(self._accounts)
-        out[addr] = account
-        return ChainState(out)
+        return self._update({addr: account})
 
     def with_storage(self, addr: Address, storage: Value) -> "ChainState":
-        return self.with_account(addr, replace(self.get(addr), storage=storage))
+        acct = self.get(addr)
+        return self._update({addr: Account(storage, acct.balance, acct.monitor_storage)})
 
     def with_monitor_storage(self, addr: Address, ms: Value) -> "ChainState":
-        return self.with_account(addr, replace(self.get(addr), monitor_storage=ms))
+        acct = self.get(addr)
+        return self._update({addr: Account(acct.storage, acct.balance, ms)})
 
     def move(self, src: Address, dest: Address, money: int) -> "ChainState":
         """Transfer `money` from src to dest; caller checks src affordability."""
@@ -309,12 +343,16 @@ class ChainState:
         a_src, a_dest = self.get(src), self.get(dest)
         if a_src.balance < money:
             raise ScenarioError("transfer exceeds source balance")
+        if src == dest:
+            return self  # a self-transfer moves nothing
         if a_dest.balance + money > U64_MAX:
             raise ContractError(f"balance overflow at {dest}")
-        out = dict(self._accounts)
-        out[src] = replace(a_src, balance=a_src.balance - money)
-        out[dest] = replace(a_dest, balance=a_dest.balance + money)
-        return ChainState(out)
+        return self._update(
+            {
+                src: Account(a_src.storage, a_src.balance - money, a_src.monitor_storage),
+                dest: Account(a_dest.storage, a_dest.balance + money, a_dest.monitor_storage),
+            }
+        )
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, ChainState) and self._accounts == other._accounts
@@ -333,13 +371,34 @@ def _value_blob(v: Value) -> str:
     return json.dumps(canon(v), separators=(",", ":"))
 
 
+def _segments(state: ChainState) -> tuple[dict[Address, int], list[str], list[str]]:
+    """The state's sorted address order and its `addr=storage` and
+    `addr=storage:balance:monitor` segments in that order, rebuilt only for
+    the accounts changed since the digested ancestor, if there is one."""
+    if state._payload is None:
+        accounts, base = state._accounts, state._base
+        if base is None:
+            order = {addr: i for i, addr in enumerate(sorted(accounts))}
+            storage, full = [""] * len(order), [""] * len(order)
+            changed: Iterable[Address] = order
+        else:
+            order, storage, full = base._payload
+            storage, full = list(storage), list(full)
+            changed = state._changed
+        for addr in changed:
+            acct, i = accounts[addr], order[addr]
+            storage[i] = segment = f"{addr}={_value_blob(acct.storage)}"
+            full[i] = f"{segment}:{acct.balance}:{_value_blob(acct.monitor_storage)}"
+        state._payload = (order, storage, full)
+        state._base, state._changed = None, frozenset()
+    return state._payload
+
+
 def digest(state: ChainState) -> str:
-    """Stable digest of a chain state, independent of mapping iteration order."""
+    """Stable digest of a chain state, independent of mapping iteration order:
+    SHA-256 over the full segments of every account in address order."""
     if state._digest is None:
-        payload = "|".join(
-            f"{addr}={_value_blob(acct.storage)}:{acct.balance}:{_value_blob(acct.monitor_storage)}"
-            for addr, acct in sorted(state.items())
-        )
+        payload = "|".join(_segments(state)[2])
         state._digest = hashlib.sha256(payload.encode()).hexdigest()
     return state._digest
 
@@ -348,9 +407,7 @@ def storage_digest(state: ChainState) -> str:
     """Digest over contract storages only (no balances, no monitor storage);
     hook-isolation checks rely on this staying constant across hook steps."""
     if state._storage_digest is None:
-        payload = "|".join(
-            f"{addr}={_value_blob(acct.storage)}" for addr, acct in sorted(state.items())
-        )
+        payload = "|".join(_segments(state)[1])
         state._storage_digest = hashlib.sha256(payload.encode()).hexdigest()
     return state._storage_digest
 

@@ -183,6 +183,8 @@ def check_obs_equivalence(
     """Compare the observation sequences of `subject` across two traces,
     through invocation index `upto` (all invocations, including sequence
     length, when upto is None)."""
+    if upto is not None and upto < 1:
+        raise ScenarioError(f"obs equivalence bound upto={upto}; invocations count from 1")
     obs_a = observations_of(trace_a, subject)
     obs_b = observations_of(trace_b, subject)
     span = max(len(obs_a), len(obs_b)) if upto is None else upto

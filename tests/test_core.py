@@ -142,6 +142,25 @@ def test_digests_of_updated_states_match_the_definition(steps):
         assert seen.get(i, {}).get("storage", want[1]) == want[1]
 
 
+def test_an_update_rebuilds_only_the_segments_it_changed():
+    # Counted in value serializations, not timed: a child of a digested
+    # state re-serializes its changed account, a rebuilt state every account.
+    parent = ChainState({f"acct{i:04d}": Account(storage=VInt(i), balance=i) for i in range(1000)})
+    digest(parent), storage_digest(parent)
+    child = parent.with_storage("acct0500", VInt(-1))
+
+    def blob_calls(state):
+        before = core._value_blob.cache_info()
+        digest(state), storage_digest(state)
+        after = core._value_blob.cache_info()
+        return after.hits + after.misses - before.hits - before.misses
+
+    assert blob_calls(child) <= 4
+    rebuilt = ChainState(dict(child.items()))
+    assert blob_calls(rebuilt) >= 1000
+    assert (digest(child), storage_digest(child)) == (digest(rebuilt), storage_digest(rebuilt))
+
+
 def test_digest_is_order_independent_over_addresses():
     a = Account(balance=1)
     b = Account(balance=2)
@@ -213,6 +232,14 @@ def test_chain_state_functional_updates_leave_snapshot_intact():
     s2 = s1.with_storage("A", VRec({"k": UNIT}))
     assert s1.storage("A") == UNIT
     assert s2.storage("A") != UNIT
+
+
+def test_self_transfer_moves_nothing():
+    s = basic_state(A=10, B=0)
+    assert s.move("A", "A", 5) == s
+    assert s.move("A", "A", 5).total_supply() == 10
+    with pytest.raises(ScenarioError):
+        s.move("A", "A", 11)
 
 
 def test_total_supply_counts_every_account():

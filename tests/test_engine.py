@@ -96,6 +96,23 @@ def test_zero_money_step_keeps_balances():
     assert res.trace.records[0].emitted == ()
 
 
+def test_self_transfer_commits_without_minting():
+    # A emits a 5-token operation to itself; supply must stay at 10.
+    def step(view, method, param, money, storage, balance):
+        if method == "go":
+            return StepOk(storage, (Operation(dest="A", src="", method="take", money=5),))
+        return StepOk(storage)
+
+    registry = {"A": ContractDef(step=step)}
+    state = ChainState({"A": Account(balance=10), "ext": Account()})
+    res = run_one(registry, state, external("A", "go"))
+    assert isinstance(res.outcome, Committed)
+    assert res.trace.records[-1].executed.money == 5
+    assert res.outcome.final.total_supply() == 10
+    assert res.outcome.final.balance("A") == 10
+    assert check_all(registry, state, res) == []
+
+
 def test_lend_emits_one_transfer_of_the_amount():
     lender = build("lender_trmon", {}, 100)
     registry = {"L": lender.contract, "M": inert_contract()}

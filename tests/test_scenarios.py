@@ -60,6 +60,17 @@ def test_divergence_is_pinpointed_one_past_the_shared_prefix():
     assert res.divergence.field == "presence"
 
 
+@pytest.mark.parametrize("upto", [0, -1])
+def test_obs_equivalence_refuses_a_bound_below_one(upto):
+    # busy_plain and busy_probed differ at the first invocation of A, so a
+    # bound that compares nothing must not read as "equal".
+    report = run_dfs_no_queue()
+    a, b = report.traces["busy_plain"], report.traces["busy_probed"]
+    assert not check_obs_equivalence(a, b, "A", upto=1).equal
+    with pytest.raises(ScenarioError, match=f"upto={upto}"):
+        check_obs_equivalence(a, b, "A", upto=upto)
+
+
 def test_observations_carry_only_queried_readings():
     report = run_dfs_no_queue()
     obs = observations_of(report.traces["busy_plain"], "A")
