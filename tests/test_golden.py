@@ -6,6 +6,8 @@ the differential loops and the claim encoders were merged, so a refactor that
 changes one byte of a trace, a report or a harness count fails this test.
 `flashloan_traces` (every flash-loan suite transaction's trace and outcome)
 was taken before the engine's step path stopped copying the queue per step.
+`explain` (what `txmonsim explain` prints for each counter-example bundle)
+was taken before the five report builders became one table.
 Equivalence traces are collected by wrapping `Engine.run_transaction`, which
 keeps the test independent of the harness API.
 """
@@ -18,7 +20,9 @@ from dataclasses import asdict
 from pathlib import Path
 
 import pytest
+from click.testing import CliRunner
 
+from txmonsim.cli import main
 from txmonsim.engine import Engine
 from txmonsim.equivalence import CASES, run_case, run_composition
 from txmonsim.scenarios import counterexample_suite, run_flashloan_suite, run_scenario
@@ -29,6 +33,7 @@ EQUIVALENCE_SEEDS = range(0, 40)
 
 GOLDEN = {
     "counterexamples": "fa352e8f521ffbc0744bb5570be6d98330070c8b2f2f83476b8b538cd1ee49ca",
+    "explain": "6ce75cc2d7249ea1b2a55d1ddf32997a27571f5c5bd95dffc490f3e6663a927c",
     "equivalence": "7cbdd61038dd7ebf3093986583c10247f6587258a8264746921434518ab67757",
     "flashloan": "8f9367b5928e6fb9e98d0e234e16ca93d86e358454313683e972db177b3cf4e9",
     "flashloan_traces": "f38b7ba5ee296b03ab22322138daa90c5a3d122d68f2c5bda7c64cbad2f4e36e",
@@ -43,6 +48,17 @@ def _dumps(obj) -> bytes:
 def counterexamples_output(h, monkeypatch) -> None:
     for report in counterexample_suite():
         h.update(_dumps(report_to_json(report)))
+
+
+def explain_output(h, monkeypatch) -> None:
+    runner = CliRunner()
+    with runner.isolated_filesystem():
+        for report in counterexample_suite():
+            path = Path(f"{report.name}.json")
+            path.write_text(json.dumps(report_to_json(report)))
+            result = runner.invoke(main, ["explain", str(path)])
+            assert result.exit_code == 0, result.output
+            h.update(result.stdout.encode())
 
 
 def flashloan_output(h, monkeypatch) -> None:
@@ -92,6 +108,7 @@ def equivalence_output(h, monkeypatch) -> None:
 
 OUTPUTS = {
     "counterexamples": counterexamples_output,
+    "explain": explain_output,
     "flashloan": flashloan_output,
     "flashloan_traces": flashloan_traces_output,
     "scenarios": scenarios_output,

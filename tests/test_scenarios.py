@@ -8,6 +8,7 @@ from dataclasses import replace
 from txmonsim.checks import check_all
 from txmonsim.contracts import BUILTINS, build
 from txmonsim.core import ScenarioError
+from txmonsim.engine import Engine
 from txmonsim.scenarios import (
     ObsClaim,
     QueueClaim,
@@ -94,6 +95,20 @@ def test_counterexample_suite_builds_and_self_certifies():
     ]
     for report in reports:
         assert verify_report(report) == []
+
+
+def test_counterexample_suite_runs_each_transaction_once(monkeypatch):
+    calls = []
+    original = Engine.run_transaction
+
+    def counting(self, *args, **kwargs):
+        calls.append(1)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Engine, "run_transaction", counting)
+    reports = counterexample_suite()
+    assert len(calls) == 25
+    assert sum(len(r.traces) for r in reports) == 25
 
 
 def test_verify_report_detects_falsified_claims():
