@@ -335,7 +335,58 @@ def _certify(report: CounterexampleReport) -> CounterexampleReport:
 
 
 # ---------------------------------------------------------------------------
-# Counter-example suite
+# Counter-example suite: the reports as a table of runs and claims
+
+
+@dataclass(frozen=True)
+class Run:
+    """A scenario run once from its fresh state; `labels[i]` names the trace
+    and verdict of its i-th transaction."""
+
+    scenario: ScenarioSpec
+    labels: tuple[str, ...]
+
+
+Claim = ObsClaim | CrossObsClaim | QueueClaim | VerdictClaim | HookupInputClaim
+
+_CLAIM_GROUPS: dict[type, str] = {
+    ObsClaim: "obs_claims",
+    CrossObsClaim: "cross_obs_claims",
+    QueueClaim: "queue_claims",
+    VerdictClaim: "verdict_claims",
+    HookupInputClaim: "hookup_claims",
+}
+
+
+@dataclass(frozen=True)
+class ReportSpec:
+    """A counter-example report as data, for `build_report` to run."""
+
+    name: str
+    runs: tuple[Run, ...]
+    claims: tuple[Claim, ...]
+    conclusion: str
+
+
+def build_report(spec: ReportSpec) -> CounterexampleReport:
+    """Run each of the spec's runs once, file its claims by kind in the
+    order given, and certify the report."""
+    traces: dict[str, Trace] = {}
+    verdicts: dict[str, Outcome] = {}
+    for run in spec.runs:
+        results = run_scenario(run.scenario, debug=True).results
+        for label, result in zip(run.labels, results, strict=True):
+            if label in traces:
+                raise ScenarioError(f"{spec.name}: run label {label!r} used twice")
+            traces[label], verdicts[label] = result.trace, result.outcome
+    groups: dict[str, list] = {group: [] for group in _CLAIM_GROUPS.values()}
+    for claim in spec.claims:
+        groups[_CLAIM_GROUPS[type(claim)]].append(claim)
+    claims = {group: tuple(members) for group, members in groups.items()}
+    return _certify(
+        CounterexampleReport(spec.name, traces, verdicts, **claims, conclusion=spec.conclusion)
+    )
+
 
 A, B, C, EXT = "A", "B", "C", "ext"
 
@@ -343,355 +394,253 @@ A, B, C, EXT = "A", "B", "C", "ext"
 def _forwarding(a_builtin: str, **params) -> list[ContractSpec]:
     """A runs `a_builtin` with `params`, B replays the plan it is sent, C
     accepts any call."""
-    return [
-        ContractSpec(A, a_builtin, params),
-        ContractSpec(B, "forwarder_B"),
-        ContractSpec(C, "sink_C"),
-    ]
+    a = ContractSpec(A, a_builtin, params)
+    return [a, ContractSpec(B, "forwarder_B"), ContractSpec(C, "sink_C")]
 
 
-def _txs(
-    engine: EngineConfig, contracts: Sequence[ContractSpec], *txs: TxSpec
-) -> tuple[TxResult, ...]:
-    """Run `txs` in order from one fresh state of `contracts`."""
-    spec = ScenarioSpec(
-        engine=engine,
-        contracts=tuple(contracts),
-        externals=(ExternalSpec(EXT, 0),),
-        transactions=txs,
-    )
-    return run_scenario(spec, debug=True).results
+_Call = tuple[str, Value]  # a call to B: (method, param)
 
 
-def _single_tx(
-    engine: EngineConfig,
-    contracts: Sequence[ContractSpec],
-    dest: Address,
-    method: str,
-    param: Value,
-) -> TxResult:
-    return _txs(engine, contracts, TxSpec(dest, method, param))[0]
+def _run(engine: EngineConfig, contracts: Sequence[ContractSpec], **calls: _Call) -> Run:
+    """The calls to B, made in order from one fresh state of `contracts` and
+    labelled by their keywords."""
+    txs = tuple(TxSpec(B, method, param) for method, param in calls.values())
+    return Run(ScenarioSpec(engine, tuple(contracts), (ExternalSpec(EXT, 0),), txs), tuple(calls))
 
 
-def _runs(results: Mapping[str, TxResult]) -> dict:
-    """A report's `traces` and `verdicts`, keyed by run label."""
-    return {
-        "traces": {label: r.trace for label, r in results.items()},
-        "verdicts": {label: r.outcome for label, r in results.items()},
-    }
+def _each(
+    engine: EngineConfig, contracts: Sequence[ContractSpec], **calls: _Call
+) -> tuple[Run, ...]:
+    """One run per call to B, each from its own fresh state."""
+    return tuple(_run(engine, contracts, **{label: call}) for label, call in calls.items())
 
 
-def _probe_runs(plain_engine: EngineConfig, plain_a: str, probe_engine: EngineConfig) -> dict:
+def _plan(calls: int) -> Value:
+    """B's plan: `calls` calls to A, then one to C."""
+    return VSeq((callspec(A),) * calls + (callspec(C),))
+
+
+def _probe_runs(plain: EngineConfig, plain_a: str, probe: EngineConfig) -> tuple[Run, ...]:
     """B forwards to A with a third-party call to C pending (busy) or not
     (quiet), once with A running `plain_a` and once with A the queue prober."""
-    plain, probing = _forwarding(plain_a), _forwarding("queue_prober_A")
-    busy = VSeq((callspec(A), callspec(C)))
-    quiet = VSeq((callspec(A),))
-    return _runs({
-        "busy_plain": _single_tx(plain_engine, plain, B, "run", busy),
-        "quiet_plain": _single_tx(plain_engine, plain, B, "run", quiet),
-        "busy_probed": _single_tx(probe_engine, probing, B, "run", busy),
-        "quiet_probed": _single_tx(probe_engine, probing, B, "run", quiet),
-    })
-
-
-def run_dfs_only_once() -> CounterexampleReport:
-    """Under DFS, a one-call and a two-call transaction on a monitored
-    contract present identical views to its first invocation even with first
-    and queue info enabled, while the native transaction monitor tells them
-    apart: reject one call, accept two."""
-    engine = EngineConfig(
-        scheduler=SchedulerKind.DFS,
-        gas_limit=100,
-        mechanisms=frozenset({Mechanism.FIRST, Mechanism.QUEUE}),
-        monitor_mode=MonitorMode.TRANSACTION,
+    busy, quiet = ("run", _plan(1)), ("run", VSeq((callspec(A),)))
+    return (
+        *_each(plain, _forwarding(plain_a), busy_plain=busy, quiet_plain=quiet),
+        *_each(probe, _forwarding("queue_prober_A"), busy_probed=busy, quiet_probed=quiet),
     )
-    contracts = _forwarding("once_monitored_A", probe=("first", "queue"))
-    one = VSeq((callspec(A), callspec(C)))
-    two = VSeq((callspec(A), callspec(A), callspec(C)))
-    report = CounterexampleReport(
-        name="dfs_only_once",
-        **_runs({
-            "o1": _single_tx(engine, contracts, B, "run", one),
-            "o2": _single_tx(engine, contracts, B, "run", two),
-        }),
-        queue_claims=(
-            QueueClaim("o1", (("A.ping", "C.ping"),), "one call to A, then C"),
-            QueueClaim("o2", (("A.ping", "A.ping", "C.ping"),), "two calls to A, then C"),
-        ),
-        obs_claims=(
-            ObsClaim(
-                "o1", "o2", A, upto=1, expect_equal=True,
-                note="first invocation of A sees the same view in both runs, "
-                "first and queue info included (the pending C call keeps queue "
-                "info false in both)",
+
+
+def _start(k: int) -> Value:
+    """B's `start` argument: a ping to A and a call to itself recursing k times."""
+    return VRec({"k": VInt(k), "a": VAddr(A)})
+
+
+_CALL_A = VRec({"a": VAddr(A)})
+# The engine and contracts of the two strategies that also run a sequence.
+_PARITY = (
+    EngineConfig(SchedulerKind.DFS, 100, frozenset({Mechanism.FAIL, Mechanism.QUEUE})),
+    _forwarding("parity_fail_A", probe=("queue",)),
+)
+_WATCHER = (
+    EngineConfig(SchedulerKind.BFS, 200),
+    [ContractSpec(A, "once_recurring_A"), ContractSpec(B, "recursive_f")],
+)
+
+REPORTS: dict[str, ReportSpec] = {
+    spec.name: spec
+    for spec in (
+        # DFS: A's first invocation cannot tell one call from two; the monitor can.
+        ReportSpec(
+            "dfs_only_once",
+            runs=_each(
+                EngineConfig(
+                    SchedulerKind.DFS, 100, frozenset({Mechanism.FIRST, Mechanism.QUEUE}),
+                    MonitorMode.TRANSACTION,
+                ),
+                _forwarding("once_monitored_A", probe=("first", "queue")),
+                o1=("run", _plan(1)), o2=("run", _plan(2)),
             ),
-            ObsClaim(
-                "o1", "o2", A, upto=2, expect_equal=False,
-                note="one step past the shared prefix the runs differ",
+            claims=(
+                QueueClaim("o1", (("A.ping", "C.ping"),), "one call to A, then C"),
+                QueueClaim("o2", (("A.ping", "A.ping", "C.ping"),), "two calls to A, then C"),
+                ObsClaim(
+                    "o1", "o2", A, upto=1, expect_equal=True,
+                    note="first invocation of A sees the same view in both runs, "
+                    "first and queue info included (the pending C call keeps queue "
+                    "info false in both)",
+                ),
+                ObsClaim(
+                    "o1", "o2", A, upto=2, expect_equal=False,
+                    note="one step past the shared prefix the runs differ",
+                ),
+                VerdictClaim("o1", "monitor_term_fail", "exactly one call is rejected"),
+                VerdictClaim("o2", "committed", "two calls are accepted"),
             ),
-        ),
-        verdict_claims=(
-            VerdictClaim("o1", "monitor_term_fail", "exactly one call is rejected"),
-            VerdictClaim("o2", "committed", "two calls are accepted"),
-        ),
-        conclusion=(
-            "The first invocation of A cannot tell the rejected run from the "
-            "accepted one, so no contract-side decision at that point can "
-            "implement the monitor; the native transaction monitor separates "
-            "the runs only because term executes after the drain."
-        ),
-    )
-    return _certify(report)
-
-
-def run_dfs_no_queue() -> CounterexampleReport:
-    """Under DFS, a contract cannot learn whether unrelated work is pending:
-    with queue info disabled its observations coincide across runs that differ
-    exactly in a pending third-party call; with queue info enabled a prober
-    separates the same two runs."""
-    plain_engine = EngineConfig(scheduler=SchedulerKind.DFS, gas_limit=100)
-    probe_engine = EngineConfig(
-        scheduler=SchedulerKind.DFS, gas_limit=100, mechanisms=frozenset({Mechanism.QUEUE})
-    )
-    report = CounterexampleReport(
-        name="dfs_no_queue",
-        **_probe_runs(plain_engine, "sink_C", probe_engine),
-        queue_claims=(
-            QueueClaim("busy_plain", (("A.ping", "C.ping"),)),
-            QueueClaim("quiet_plain", (("A.ping",),)),
-        ),
-        obs_claims=(
-            ObsClaim(
-                "busy_plain", "quiet_plain", A, upto=1, expect_equal=True,
-                note="without queue info, A's invocation is blind to the pending C call",
+            conclusion=(
+                "The first invocation of A cannot tell the rejected run from the "
+                "accepted one, so no contract-side decision at that point can "
+                "implement the monitor; the native transaction monitor separates "
+                "the runs only because term executes after the drain."
             ),
         ),
-        verdict_claims=(
-            VerdictClaim("busy_probed", "contract_fail", "prober vetoes the busy queue"),
-            VerdictClaim("quiet_probed", "committed", "prober passes the quiet queue"),
-        ),
-        conclusion=(
-            "A contract that must fail exactly when other work is pending is "
-            "realizable with queue info and unrealizable without it: the two "
-            "runs give its only invocation identical views."
-        ),
-    )
-    return _certify(report)
-
-
-def run_dfs_fail_queue() -> CounterexampleReport:
-    """Fail bits plus queue info under DFS still cannot express the only-once
-    check. The canonical bit policy (raise on odd lifetime call parity) gets
-    one-call, two-call and committed-then-one-call sequences right, but any
-    policy is already committed at the first invocation — the parity policy
-    betrays itself on a three-call transaction the monitor would accept."""
-    engine = EngineConfig(
-        scheduler=SchedulerKind.DFS,
-        gas_limit=100,
-        mechanisms=frozenset({Mechanism.FAIL, Mechanism.QUEUE}),
-    )
-    native_engine = EngineConfig(
-        scheduler=SchedulerKind.DFS, gas_limit=100, monitor_mode=MonitorMode.TRANSACTION
-    )
-    contracts = _forwarding("parity_fail_A", probe=("queue",))
-    native_contracts = _forwarding("once_monitored_A")
-
-    def plan(calls: int) -> Value:
-        return VSeq((callspec(A),) * calls + (callspec(C),))
-
-    seq = _txs(engine, contracts, TxSpec(B, "run", plan(2)), TxSpec(B, "run", plan(1)))
-    report = CounterexampleReport(
-        name="dfs_fail_queue",
-        **_runs({
-            "o1": _single_tx(engine, contracts, B, "run", plan(1)),
-            "o2": _single_tx(engine, contracts, B, "run", plan(2)),
-            "o3": _single_tx(engine, contracts, B, "run", plan(3)),
-            "o3_native": _single_tx(native_engine, native_contracts, B, "run", plan(3)),
-            "seq_o2": seq[0],
-            "seq_o1": seq[1],
-        }),
-        obs_claims=(
-            ObsClaim(
-                "o1", "o2", A, upto=1, expect_equal=True,
-                note="queue info reads false in both runs (C is pending), so the "
-                "policy's first decision is forced to coincide",
+        # DFS: only queue info lets a contract see a pending third-party call.
+        ReportSpec(
+            "dfs_no_queue",
+            runs=_probe_runs(
+                EngineConfig(SchedulerKind.DFS, 100),
+                "sink_C",
+                EngineConfig(SchedulerKind.DFS, 100, frozenset({Mechanism.QUEUE})),
+            ),
+            claims=(
+                QueueClaim("busy_plain", (("A.ping", "C.ping"),)),
+                QueueClaim("quiet_plain", (("A.ping",),)),
+                ObsClaim(
+                    "busy_plain", "quiet_plain", A, upto=1, expect_equal=True,
+                    note="without queue info, A's invocation is blind to the pending C call",
+                ),
+                VerdictClaim("busy_probed", "contract_fail", "prober vetoes the busy queue"),
+                VerdictClaim("quiet_probed", "committed", "prober passes the quiet queue"),
+            ),
+            conclusion=(
+                "A contract that must fail exactly when other work is pending is "
+                "realizable with queue info and unrealizable without it: the two "
+                "runs give its only invocation identical views."
             ),
         ),
-        verdict_claims=(
-            VerdictClaim("o1", "fail_bit_set", "one call rejected, as required"),
-            VerdictClaim("o2", "committed", "two calls accepted, as required"),
-            VerdictClaim("seq_o2", "committed", "committed two-call transaction"),
-            VerdictClaim("seq_o1", "fail_bit_set", "following one-call transaction rejected"),
-            VerdictClaim("o3", "fail_bit_set", "three calls wrongly rejected by the policy"),
-            VerdictClaim("o3_native", "committed", "the monitor accepts three calls"),
+        # DFS: a fail-bit parity policy gets one and two calls right, not three.
+        ReportSpec(
+            "dfs_fail_queue",
+            runs=(
+                *_each(*_PARITY, o1=("run", _plan(1)), o2=("run", _plan(2)), o3=("run", _plan(3))),
+                *_each(
+                    EngineConfig(SchedulerKind.DFS, 100, monitor_mode=MonitorMode.TRANSACTION),
+                    _forwarding("once_monitored_A"),
+                    o3_native=("run", _plan(3)),
+                ),
+                _run(*_PARITY, seq_o2=("run", _plan(2)), seq_o1=("run", _plan(1))),
+            ),
+            claims=(
+                ObsClaim(
+                    "o1", "o2", A, upto=1, expect_equal=True,
+                    note="queue info reads false in both runs (C is pending), so the "
+                    "policy's first decision is forced to coincide",
+                ),
+                VerdictClaim("o1", "fail_bit_set", "one call rejected, as required"),
+                VerdictClaim("o2", "committed", "two calls accepted, as required"),
+                VerdictClaim("seq_o2", "committed", "committed two-call transaction"),
+                VerdictClaim("seq_o1", "fail_bit_set", "following one-call transaction rejected"),
+                VerdictClaim("o3", "fail_bit_set", "three calls wrongly rejected by the policy"),
+                VerdictClaim("o3_native", "committed", "the monitor accepts three calls"),
+            ),
+            conclusion=(
+                "Because the first invocation's view coincides across runs, a "
+                "fail-bit policy must commit to raising the bit there; keeping the "
+                "bit equal to lifetime call parity survives the paired sequences "
+                "but misjudges a three-call transaction, which the native monitor "
+                "accepts."
+            ),
         ),
-        conclusion=(
-            "Because the first invocation's view coincides across runs, a "
-            "fail-bit policy must commit to raising the bit there; keeping the "
-            "bit equal to lifetime call parity survives the paired sequences "
-            "but misjudges a three-call transaction, which the native monitor "
-            "accepts."
-        ),
-    )
-    return _certify(report)
-
-
-def run_bfs_only_once() -> CounterexampleReport:
-    """Under BFS a recurring watcher implements the only-once rejection for
-    one- and two-call transactions, but a third call is indistinguishable from
-    a fresh first call after a committed two-call transaction, so the watcher
-    starves a transaction the monitor would accept."""
-    engine = EngineConfig(scheduler=SchedulerKind.BFS, gas_limit=200)
-    native_engine = EngineConfig(
-        scheduler=SchedulerKind.BFS, gas_limit=200, monitor_mode=MonitorMode.TRANSACTION
-    )
-    contracts = [
-        ContractSpec(A, "once_recurring_A"),
-        ContractSpec(B, "recursive_f"),
-    ]
-    native_contracts = [
-        ContractSpec(A, "once_monitored_A"),
-        ContractSpec(B, "recursive_f"),
-    ]
-
-    def start(k: int) -> Value:
-        return VRec({"k": VInt(k), "a": VAddr(A)})
-
-    single = VRec({"a": VAddr(A)})
-    seq = _txs(engine, contracts, TxSpec(B, "start", start(0)), TxSpec(B, "call_a", single))
-    report = CounterexampleReport(
-        name="bfs_only_once",
-        **_runs({
-            "t": _single_tx(engine, contracts, B, "call_a", single),
-            "t0": _single_tx(engine, contracts, B, "start", start(0)),
-            "t1": _single_tx(engine, contracts, B, "start", start(1)),
-            "t2": _single_tx(engine, contracts, B, "start", start(2)),
-            "t_prime0": _single_tx(engine, contracts, B, "start3", single),
-            "t_native": _single_tx(native_engine, native_contracts, B, "call_a", single),
-            "t_prime0_native": _single_tx(native_engine, native_contracts, B, "start3", single),
-            "seq_t0": seq[0],
-            "seq_t": seq[1],
-        }),
-        queue_claims=(
-            QueueClaim("t", (("A.ping",),), "single direct call"),
-            QueueClaim(
-                "t0",
-                (
+        # BFS: a recurring watcher starves a third call that looks like a first.
+        ReportSpec(
+            "bfs_only_once",
+            runs=(
+                *_each(
+                    *_WATCHER, t=("call_a", _CALL_A), t0=("start", _start(0)),
+                    t1=("start", _start(1)), t2=("start", _start(2)), t_prime0=("start3", _CALL_A),
+                ),
+                *_each(
+                    EngineConfig(SchedulerKind.BFS, 200, monitor_mode=MonitorMode.TRANSACTION),
+                    [ContractSpec(A, "once_monitored_A"), ContractSpec(B, "recursive_f")],
+                    t_native=("call_a", _CALL_A),
+                    t_prime0_native=("start3", _CALL_A),
+                ),
+                _run(*_WATCHER, seq_t0=("start", _start(0)), seq_t=("call_a", _CALL_A)),
+            ),
+            claims=(
+                QueueClaim("t", (("A.ping",),), "single direct call"),
+                QueueClaim("t0", (
                     ("B.f", "A.ping"),
                     ("A.ping", "A.ping"),
                     ("A.ping", "A.watch"),
                     ("A.watch",),
-                ),
-                "depth-0 recursion: the second call lands behind the first",
-            ),
-            QueueClaim(
-                "t1",
-                (
+                ), "depth-0 recursion: the second call lands behind the first"),
+                QueueClaim("t1", (
                     ("B.f", "A.ping"),
                     ("A.ping", "B.f"),
                     ("B.f", "A.watch"),
                     ("A.watch", "A.ping"),
-                ),
-                "depth-1 recursion interleaves with the watcher",
-            ),
-            QueueClaim(
-                "t_prime0",
-                (
+                ), "depth-1 recursion interleaves with the watcher"),
+                QueueClaim("t_prime0", (
                     ("B.f", "A.ping", "B.f"),
                     ("A.ping", "B.f", "A.ping"),
                     ("B.f", "A.ping", "A.watch"),
                     ("A.ping", "A.watch", "A.ping"),
+                ), "three calls: the last one runs after the watcher stopped"),
+                CrossObsClaim(
+                    "t_prime0", 4, "seq_t", 1, A,
+                    note="the third call of the three-call transaction and a fresh "
+                    "first call after the committed two-call transaction present "
+                    "identical views (both are ping invocations #4 and #1 "
+                    "respectively, with storage counter at two)",
                 ),
-                "three calls: the last one runs after the watcher stopped",
+                VerdictClaim("t", "gas_exhausted", "one call starved out: correct rejection"),
+                VerdictClaim("t0", "committed", "two calls accepted"),
+                VerdictClaim("t1", "committed", "two calls accepted"),
+                VerdictClaim("t2", "committed", "two calls accepted"),
+                VerdictClaim("seq_t0", "committed", "two-call transaction commits"),
+                VerdictClaim("seq_t", "gas_exhausted", "following one-call transaction rejected"),
+                VerdictClaim(
+                    "t_prime0", "gas_exhausted",
+                    "three calls wrongly starved by the same strategy",
+                ),
+                VerdictClaim("t_native", "monitor_term_fail", "monitor rejects one call"),
+                VerdictClaim("t_prime0_native", "committed", "monitor accepts three calls"),
+            ),
+            conclusion=(
+                "The recurring watcher separates one from two calls by starving "
+                "transactions whose call parity stays odd, but the third call of "
+                "the three-call transaction sees exactly the view of a fresh first "
+                "call after a committed two-call transaction; behaving identically "
+                "on both, the strategy must starve one transaction the monitor "
+                "accepts. The watcher here stops at its first run after the parity "
+                "moves; delaying the stop by any finite number of re-injections "
+                "only shifts where the trapped third call is placed, so this run "
+                "exhibits one representative of the strategy space rather than "
+                "exhausting it."
             ),
         ),
-        cross_obs_claims=(
-            CrossObsClaim(
-                "t_prime0", 4, "seq_t", 1, A,
-                note="the third call of the three-call transaction and a fresh "
-                "first call after the committed two-call transaction present "
-                "identical views (both are ping invocations #4 and #1 "
-                "respectively, with storage counter at two)",
+        # BFS: an unbounded storage hookup cannot stand in for queue info.
+        ReportSpec(
+            "bfs_queue_gap",
+            runs=_probe_runs(
+                EngineConfig(SchedulerKind.BFS, 100, frozenset({Mechanism.USTORE})),
+                "ustore_echo_A",
+                EngineConfig(SchedulerKind.BFS, 100, frozenset({Mechanism.QUEUE})),
             ),
-        ),
-        verdict_claims=(
-            VerdictClaim("t", "gas_exhausted", "one call starved out: correct rejection"),
-            VerdictClaim("t0", "committed", "two calls accepted"),
-            VerdictClaim("t1", "committed", "two calls accepted"),
-            VerdictClaim("t2", "committed", "two calls accepted"),
-            VerdictClaim("seq_t0", "committed", "two-call transaction commits"),
-            VerdictClaim("seq_t", "gas_exhausted", "following one-call transaction rejected"),
-            VerdictClaim(
-                "t_prime0", "gas_exhausted",
-                "three calls wrongly starved by the same strategy",
+            claims=(
+                ObsClaim(
+                    "busy_plain", "quiet_plain", A, upto=1, expect_equal=True,
+                    note="without queue info A's only invocation is blind to the pending call",
+                ),
+                HookupInputClaim(
+                    "busy_plain", "quiet_plain", A,
+                    note="the unbounded hookup also runs on identical storage and balance",
+                ),
+                VerdictClaim("busy_probed", "contract_fail", "prober vetoes the busy queue"),
+                VerdictClaim("quiet_probed", "committed", "prober passes the quiet queue"),
             ),
-            VerdictClaim("t_native", "monitor_term_fail", "monitor rejects one call"),
-            VerdictClaim("t_prime0_native", "committed", "monitor accepts three calls"),
-        ),
-        conclusion=(
-            "The recurring watcher separates one from two calls by starving "
-            "transactions whose call parity stays odd, but the third call of "
-            "the three-call transaction sees exactly the view of a fresh first "
-            "call after a committed two-call transaction; behaving identically "
-            "on both, the strategy must starve one transaction the monitor "
-            "accepts. The watcher here stops at its first run after the parity "
-            "moves; delaying the stop by any finite number of re-injections "
-            "only shifts where the trapped third call is placed, so this run "
-            "exhibits one representative of the strategy space rather than "
-            "exhausting it."
+            conclusion=(
+                "Since both the invocation of A and its storage hookup receive "
+                "identical inputs in the two runs, any hookup-based strategy "
+                "treats them alike, while queue info separates them."
+            ),
         ),
     )
-    return _certify(report)
-
-
-def run_bfs_queue_gap() -> CounterexampleReport:
-    """Under BFS, an unbounded storage hookup cannot stand in for queue info:
-    with queue info disabled the probed contract (and its hookup) receives
-    identical inputs across runs that differ in a pending third-party call;
-    with queue info enabled a prober separates them."""
-    plain_engine = EngineConfig(
-        scheduler=SchedulerKind.BFS, gas_limit=100, mechanisms=frozenset({Mechanism.USTORE})
-    )
-    probe_engine = EngineConfig(
-        scheduler=SchedulerKind.BFS, gas_limit=100, mechanisms=frozenset({Mechanism.QUEUE})
-    )
-    report = CounterexampleReport(
-        name="bfs_queue_gap",
-        **_probe_runs(plain_engine, "ustore_echo_A", probe_engine),
-        obs_claims=(
-            ObsClaim(
-                "busy_plain", "quiet_plain", A, upto=1, expect_equal=True,
-                note="without queue info A's only invocation is blind to the pending call",
-            ),
-        ),
-        hookup_claims=(
-            HookupInputClaim(
-                "busy_plain", "quiet_plain", A,
-                note="the unbounded hookup also runs on identical storage and balance",
-            ),
-        ),
-        verdict_claims=(
-            VerdictClaim("busy_probed", "contract_fail", "prober vetoes the busy queue"),
-            VerdictClaim("quiet_probed", "committed", "prober passes the quiet queue"),
-        ),
-        conclusion=(
-            "Since both the invocation of A and its storage hookup receive "
-            "identical inputs in the two runs, any hookup-based strategy "
-            "treats them alike, while queue info separates them."
-        ),
-    )
-    return _certify(report)
+}
 
 
 def counterexample_suite() -> list[CounterexampleReport]:
-    return [
-        run_dfs_only_once(),
-        run_dfs_no_queue(),
-        run_dfs_fail_queue(),
-        run_bfs_only_once(),
-        run_bfs_queue_gap(),
-    ]
+    return [build_report(spec) for spec in REPORTS.values()]
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from txmonsim.equivalence import (
     run_composition,
 )
 from txmonsim.scenarios import (
+    REPORTS,
     ContractSpec,
     ExternalSpec,
     LENDER_VARIANTS,
@@ -53,11 +54,9 @@ from txmonsim.scenarios import (
     ScenarioSpec,
     TxSpec,
     _loan_scenario,
+    build_report,
     build_scenario,
     check_obs_equivalence,
-    run_bfs_only_once,
-    run_bfs_queue_gap,
-    run_dfs_only_once,
     run_flashloan_suite,
     run_scenario,
     verify_report,
@@ -150,9 +149,9 @@ def equivalence_traces():
 @pytest.fixture(scope="module")
 def counterexample_reports():
     return {
-        "dfs_only_once": run_dfs_only_once(),
-        "bfs_only_once": run_bfs_only_once(),
-        "bfs_queue_gap": run_bfs_queue_gap(),
+        "dfs_only_once": build_report(REPORTS["dfs_only_once"]),
+        "bfs_only_once": build_report(REPORTS["bfs_only_once"]),
+        "bfs_queue_gap": build_report(REPORTS["bfs_queue_gap"]),
     }
 
 

@@ -11,10 +11,9 @@ from click.testing import CliRunner
 from txmonsim.cli import main
 from txmonsim.engine import Engine
 from txmonsim.scenarios import (
+    REPORTS,
+    build_report,
     counterexample_suite,
-    run_bfs_only_once,
-    run_dfs_no_queue,
-    run_dfs_only_once,
     run_flashloan_suite,
 )
 from txmonsim.serialize import (
@@ -150,7 +149,7 @@ def test_module_invocation_works():
 
 
 def test_diff_subject_prefix_equal_but_full_traces_diverge(runner, tmp_path):
-    report = run_dfs_only_once()
+    report = build_report(REPORTS["dfs_only_once"])
     a = tmp_path / "o1.trace"
     b = tmp_path / "o2.trace"
     a.write_text(dump_traces([report.traces["o1"]]))
@@ -165,7 +164,7 @@ def test_diff_subject_prefix_equal_but_full_traces_diverge(runner, tmp_path):
 
 
 def test_diff_prints_the_first_divergent_records(runner, tmp_path):
-    report = run_dfs_only_once()
+    report = build_report(REPORTS["dfs_only_once"])
     a = tmp_path / "o1.trace"
     b = tmp_path / "o2.trace"
     a.write_text(dump_traces([report.traces["o1"]]))
@@ -213,7 +212,7 @@ def test_suite_equivalence_small(runner, tmp_path):
 
 
 def test_explain_verifies_saved_reports(runner, tmp_path):
-    report = run_dfs_only_once()
+    report = build_report(REPORTS["dfs_only_once"])
     path = tmp_path / "r.json"
     path.write_text(json.dumps(report_to_json(report)))
     result = runner.invoke(main, ["explain", str(path)])
@@ -266,7 +265,7 @@ def test_shipped_scenario_fixtures(runner, fixture, exit_code, expect):
 
 
 def _trace_lines():
-    return [json.loads(line) for line in dump_traces([run_dfs_only_once().traces["o2"]]).splitlines()]
+    return [json.loads(line) for line in dump_traces([build_report(REPORTS["dfs_only_once"]).traces["o2"]]).splitlines()]
 
 
 def _record_of_unknown_tx():
@@ -282,7 +281,7 @@ def _meta_without_monitor_mode():
 
 
 def _report_with_unknown_scheduler():
-    bundle = report_to_json(run_dfs_only_once())
+    bundle = report_to_json(build_report(REPORTS["dfs_only_once"]))
     bundle["traces"]["o1"]["meta"]["scheduler"] = "lifo"
     return "explain", json.dumps(bundle), "'lifo'"
 
@@ -302,44 +301,44 @@ def _trace_with_op_record_without_executed():
 
 
 def _report_with_op_record_without_executed():
-    bundle = report_to_json(run_dfs_no_queue())
+    bundle = report_to_json(build_report(REPORTS["dfs_no_queue"]))
     bundle["traces"]["busy_plain"]["records"][1]["executed"] = None
     named = "trace 'busy_plain': op record 1 has no executed operation"
     return "explain", json.dumps(bundle), named
 
 
 def _obs_claim_with_string_upto():
-    bundle = report_to_json(run_dfs_only_once())
+    bundle = report_to_json(build_report(REPORTS["dfs_only_once"]))
     bundle["obs_claims"][0]["upto"] = "1"
     return "explain", json.dumps(bundle), "ObsClaim.upto: expected an integer, got '1'"
 
 
 def _queue_claim_with_int_shape():
-    bundle = report_to_json(run_dfs_only_once())
+    bundle = report_to_json(build_report(REPORTS["dfs_only_once"]))
     bundle["queue_claims"][0]["shapes"] = [5]
     return "explain", json.dumps(bundle), "QueueClaim.shapes: expected an array, got 5"
 
 
 def _claim_without_required_field():
-    bundle = report_to_json(run_dfs_only_once())
+    bundle = report_to_json(build_report(REPORTS["dfs_only_once"]))
     del bundle["obs_claims"][0]["subject"]
     return "explain", json.dumps(bundle), "ObsClaim lacks 'subject'"
 
 
 def _verdict_claim_of_unknown_trace():
-    bundle = report_to_json(run_dfs_only_once())
+    bundle = report_to_json(build_report(REPORTS["dfs_only_once"]))
     bundle["verdict_claims"][0]["trace"] = "ghost"
     return "explain", json.dumps(bundle), "VerdictClaim.trace names no trace: 'ghost'"
 
 
 def _obs_claim_of_unknown_trace():
-    bundle = report_to_json(run_dfs_only_once())
+    bundle = report_to_json(build_report(REPORTS["dfs_only_once"]))
     bundle["obs_claims"][0]["trace_a"] = "ghost"
     return "explain", json.dumps(bundle), "ObsClaim.trace_a names no trace: 'ghost'"
 
 
 def _trace_without_verdict():
-    bundle = report_to_json(run_dfs_only_once())
+    bundle = report_to_json(build_report(REPORTS["dfs_only_once"]))
     del bundle["verdicts"]["o1"]
     return "explain", json.dumps(bundle), "do not match traces"
 
@@ -502,7 +501,7 @@ def test_diff_subject_on_op_record_without_executed_exits_two(runner, tmp_path):
 
 @pytest.mark.parametrize("index", [0, -1])
 def test_explain_fails_a_cross_claim_index_below_one(runner, tmp_path, index):
-    bundle = report_to_json(run_bfs_only_once())
+    bundle = report_to_json(build_report(REPORTS["bfs_only_once"]))
     bundle["cross_obs_claims"][0].update(invocation_a=index, invocation_b=index)
     path = write(tmp_path, "r.json", bundle)
     result = runner.invoke(main, ["explain", path])
@@ -514,7 +513,7 @@ def test_explain_fails_a_cross_claim_index_below_one(runner, tmp_path, index):
 def _no_queue_split():
     """dfs_no_queue's obs claim re-pointed at two runs whose first
     invocations of A differ."""
-    bundle = report_to_json(run_dfs_no_queue())
+    bundle = report_to_json(build_report(REPORTS["dfs_no_queue"]))
     bundle["obs_claims"][0]["trace_b"] = "busy_probed"
     return bundle
 
@@ -531,7 +530,7 @@ def test_explain_fails_an_obs_claim_upto_zero(runner, tmp_path):
 
 
 def test_diff_upto_below_one_exits_two(runner, tmp_path):
-    report = run_dfs_no_queue()
+    report = build_report(REPORTS["dfs_no_queue"])
     a, b = tmp_path / "a.trace", tmp_path / "b.trace"
     a.write_text(dump_traces([report.traces["busy_plain"]]))
     b.write_text(dump_traces([report.traces["busy_probed"]]))

@@ -10,18 +10,15 @@ from txmonsim.contracts import BUILTINS, build
 from txmonsim.core import ScenarioError
 from txmonsim.engine import Engine
 from txmonsim.scenarios import (
+    REPORTS,
     ObsClaim,
     QueueClaim,
     VerdictClaim,
+    build_report,
     build_scenario,
     check_obs_equivalence,
     counterexample_suite,
     observations_of,
-    run_bfs_only_once,
-    run_bfs_queue_gap,
-    run_dfs_fail_queue,
-    run_dfs_no_queue,
-    run_dfs_only_once,
     run_flashloan_suite,
     verify_report,
 )
@@ -47,14 +44,14 @@ def test_unknown_builtin_is_a_scenario_error():
 
 
 def test_identical_traces_are_equal_at_all_indices():
-    report = run_dfs_only_once()
+    report = build_report(REPORTS["dfs_only_once"])
     t = report.traces["o1"]
     res = check_obs_equivalence(t, t, "A", upto=None)
     assert res.equal
 
 
 def test_divergence_is_pinpointed_one_past_the_shared_prefix():
-    report = run_dfs_only_once()
+    report = build_report(REPORTS["dfs_only_once"])
     res = check_obs_equivalence(report.traces["o1"], report.traces["o2"], "A", upto=2)
     assert not res.equal
     assert res.divergence.invocation == 2
@@ -65,7 +62,7 @@ def test_divergence_is_pinpointed_one_past_the_shared_prefix():
 def test_obs_equivalence_refuses_a_bound_below_one(upto):
     # busy_plain and busy_probed differ at the first invocation of A, so a
     # bound that compares nothing must not read as "equal".
-    report = run_dfs_no_queue()
+    report = build_report(REPORTS["dfs_no_queue"])
     a, b = report.traces["busy_plain"], report.traces["busy_probed"]
     assert not check_obs_equivalence(a, b, "A", upto=1).equal
     with pytest.raises(ScenarioError, match=f"upto={upto}"):
@@ -73,7 +70,7 @@ def test_obs_equivalence_refuses_a_bound_below_one(upto):
 
 
 def test_observations_carry_only_queried_readings():
-    report = run_dfs_no_queue()
+    report = build_report(REPORTS["dfs_no_queue"])
     obs = observations_of(report.traces["busy_plain"], "A")
     assert obs[0].readings == {}
     probed = observations_of(report.traces["quiet_probed"], "A")
@@ -112,7 +109,7 @@ def test_counterexample_suite_runs_each_transaction_once(monkeypatch):
 
 
 def test_verify_report_detects_falsified_claims():
-    report = run_dfs_only_once()
+    report = build_report(REPORTS["dfs_only_once"])
     bad_obs = replace(
         report,
         obs_claims=(ObsClaim("o1", "o2", "A", upto=2, expect_equal=True),),
@@ -125,13 +122,13 @@ def test_verify_report_detects_falsified_claims():
 
 
 def test_dfs_only_once_report_verdicts():
-    report = run_dfs_only_once()
+    report = build_report(REPORTS["dfs_only_once"])
     assert report.verdicts["o1"].kind == "monitor_term_fail"
     assert report.verdicts["o2"].kind == "committed"
 
 
 def test_bfs_only_once_strategy_verdicts_show_the_trap():
-    report = run_bfs_only_once()
+    report = build_report(REPORTS["bfs_only_once"])
     assert report.verdicts["t"].kind == "gas_exhausted"
     for key in ("t0", "t1", "t2"):
         assert report.verdicts[key].kind == "committed"
@@ -141,13 +138,13 @@ def test_bfs_only_once_strategy_verdicts_show_the_trap():
 
 
 def test_bfs_queue_gap_prober_separates_exactly_the_busy_run():
-    report = run_bfs_queue_gap()
+    report = build_report(REPORTS["bfs_queue_gap"])
     assert report.verdicts["busy_probed"].kind == "contract_fail"
     assert report.verdicts["quiet_probed"].kind == "committed"
 
 
 def test_fail_queue_policy_handles_pairs_but_not_three_calls():
-    report = run_dfs_fail_queue()
+    report = build_report(REPORTS["dfs_fail_queue"])
     assert report.verdicts["o1"].kind == "fail_bit_set"
     assert report.verdicts["o2"].kind == "committed"
     assert report.verdicts["seq_o2"].kind == "committed"
