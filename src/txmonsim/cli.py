@@ -16,8 +16,10 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
+from typing import Iterator
 
 import click
 
@@ -55,6 +57,21 @@ def _resolve_scenario(path: str) -> Path:
     if alt.exists():
         return alt
     raise ScenarioError(f"scenario file not found: {path}")
+
+
+@contextmanager
+def _writing(what: str) -> Iterator[None]:
+    """An output path that cannot be written is a usage error."""
+    try:
+        yield
+    except OSError as exc:
+        click.echo(f"{what} error: {exc}", err=True)
+        sys.exit(2)
+
+
+def _write_json(path: Path, payload: object) -> None:
+    with _writing("output"):
+        path.write_text(json.dumps(payload, indent=2, sort_keys=True))
 
 
 def _emit(payload: dict, fmt: str) -> None:
@@ -102,7 +119,8 @@ def run(scenario_path, scheduler, gas, mechanisms, monitor_mode, trace_out, fmt)
         sys.exit(2)
 
     if trace_out:
-        Path(trace_out).write_text(dump_traces(list(result.traces)))
+        with _writing("trace"):
+            Path(trace_out).write_text(dump_traces(list(result.traces)))
     outcomes = [outcome_to_json(o) for o in result.outcomes]
     lines = [f"tx {i}: {o.kind}" for i, o in enumerate(result.outcomes)]
     _emit({"outcomes": outcomes, "lines": lines}, fmt)
@@ -152,13 +170,14 @@ def diff(trace_a, trace_b, subject, upto):
 @main.command()
 @click.argument("name", type=click.Choice(["counterexamples", "flashloan", "equivalence"]))
 @click.option("--seed", type=int, default=0)
-@click.option("--instances", type=int, default=200, help="Scenario count per transformer.")
+@click.option("--instances", type=click.IntRange(min=1), default=200, help="Scenario count per transformer.")
 @click.option("--format", "fmt", type=click.Choice(["json", "text"]), default="text")
 @click.option("--out", "out_dir", default=None, help="Report directory (default TXMONSIM_SUITE_DIR).")
 def suite(name, seed, instances, fmt, out_dir):
     """Run a named suite, write its report bundle, exit 0 only if it holds."""
     out = Path(out_dir) if out_dir else _suite_dir()
-    out.mkdir(parents=True, exist_ok=True)
+    with _writing("output"):
+        out.mkdir(parents=True, exist_ok=True)
     ok = True
     lines: list[str] = []
     payload: dict = {}
@@ -173,9 +192,7 @@ def suite(name, seed, instances, fmt, out_dir):
         for report in reports:
             problems = verify_report(report)
             ok = ok and not problems
-            (out / f"{report.name}.json").write_text(
-                json.dumps(report_to_json(report), indent=2, sort_keys=True)
-            )
+            _write_json(out / f"{report.name}.json", report_to_json(report))
             verdicts = {k: v.kind for k, v in report.verdicts.items()}
             payload["reports"].append(
                 {"name": report.name, "verdicts": verdicts, "problems": problems}
@@ -202,7 +219,7 @@ def suite(name, seed, instances, fmt, out_dir):
             for r in fl.rows
         ]
         payload["agreement"] = {k: sorted(v) for k, v in agreement.items()}
-        (out / "flashloan.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(out / "flashloan.json", payload)
         for r in fl.rows:
             flag = "" if r.committed == r.expected_commit else "  <- unexpected verdict"
             lines.append(f"{r.scenario:32s} {r.variant:16s} {r.outcome_kind}{flag}")
@@ -233,7 +250,7 @@ def suite(name, seed, instances, fmt, out_dir):
                 f"{rep.case:32s} {status}  ({rep.scenarios} scenarios, "
                 f"{rep.commits} commits, {rep.aborts} aborts)"
             )
-        (out / "equivalence.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
+        _write_json(out / "equivalence.json", payload)
 
     payload["lines"] = lines
     _emit(payload, fmt)

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -137,15 +140,37 @@ def test_diff_malformed_trace_is_a_usage_error(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_module_invocation_works():
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-m", "txmonsim.cli", "--help"], capture_output=True, text=True
+def _cli_process(*args: str) -> subprocess.CompletedProcess:
+    """The CLI in a child interpreter, so an uncaught error prints its traceback."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, "-m", "txmonsim.cli", *args],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=path),
     )
+
+
+def test_module_invocation_works():
+    out = _cli_process("--help")
     assert out.returncode == 0
     assert "suite" in out.stdout
+
+
+def test_run_trace_into_a_missing_directory_exits_two(tmp_path):
+    scenario = write(tmp_path, "ok.json", TRMON_SCENARIO)
+    out = _cli_process("run", scenario, "--trace", str(tmp_path / "no" / "such" / "x.trace"))
+    assert out.returncode == 2
+    assert "trace error" in out.stderr
+    assert "Traceback" not in out.stdout + out.stderr
+
+
+def test_suite_out_naming_an_existing_file_exits_two(tmp_path):
+    existing = tmp_path / "existing"
+    existing.write_text("")
+    out = _cli_process("suite", "flashloan", "--out", str(existing))
+    assert out.returncode == 2
+    assert "output error" in out.stderr
+    assert "Traceback" not in out.stdout + out.stderr
 
 
 def test_diff_subject_prefix_equal_but_full_traces_diverge(runner, tmp_path):
@@ -209,6 +234,16 @@ def test_suite_equivalence_small(runner, tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads((tmp_path / "equivalence.json").read_text())
     assert all(not c["failures"] for c in payload["cases"])
+
+
+@pytest.mark.parametrize("instances", ["0", "-3"])
+def test_suite_equivalence_refuses_fewer_than_one_instance(runner, tmp_path, instances):
+    result = runner.invoke(
+        main, ["suite", "equivalence", "--instances", instances, "--out", str(tmp_path)]
+    )
+    assert result.exit_code == 2
+    assert "--instances" in result.output
+    assert not (tmp_path / "equivalence.json").exists()
 
 
 def test_explain_verifies_saved_reports(runner, tmp_path):
