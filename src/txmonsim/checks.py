@@ -18,7 +18,7 @@ from .core import (
     Trace,
     digest,
 )
-from .engine import TxResult, replay_step
+from .engine import EMIT_COST, OP_COST, TxResult, replay_step
 
 
 def check_queue_laws(trace: Trace) -> list[str]:
@@ -44,14 +44,19 @@ def check_queue_laws(trace: Trace) -> list[str]:
 
 
 def check_gas(trace: Trace) -> list[str]:
+    """Each record starts from the gas the previous one left, the first from
+    the limit. An op record spends OP_COST plus EMIT_COST per emitted
+    operation; every other record spends nothing."""
     problems = []
-    last = trace.meta.gas_limit
+    level = trace.meta.gas_limit
     for r in trace.records:
-        if r.gas_after > r.gas_before:
-            problems.append(f"record {r.index}: gas increased")
-        if r.gas_before > last:
-            problems.append(f"record {r.index}: gas exceeds prior level")
-        last = r.gas_after
+        if r.gas_before != level:
+            problems.append(f"record {r.index}: gas {r.gas_before} does not continue {level}")
+        spent = r.gas_before - r.gas_after
+        law = OP_COST + EMIT_COST * len(r.emitted) if r.kind is RecordKind.OP else 0
+        if spent != law:
+            problems.append(f"record {r.index}: {r.kind.value} spent {spent} gas, law says {law}")
+        level = r.gas_after
     return problems
 
 

@@ -294,6 +294,19 @@ def test_gas_exhaustion_only_at_unaffordable_charge():
     assert res.trace.records[-1].gas_after == 0
 
 
+def test_check_all_names_a_record_that_breaks_the_gas_law():
+    registry, state = _forwarders()
+    plan = VSeq((callspec("A", "run", VSeq((callspec("C"),))), callspec("C")))
+    res = run_one(registry, state, external("B", "run", plan))
+    assert check_all(registry, state, res) == []
+    records = list(res.trace.records)
+    assert records[1].gas_before - records[1].gas_after == OP_COST + EMIT_COST
+    records[1] = replace(records[1], gas_after=records[1].gas_before - 4)
+    tampered = replace(res, trace=replace(res.trace, records=tuple(records)))
+    problems = check_all(registry, state, tampered)
+    assert any(p.startswith("record 1: op spent 4 gas") for p in problems), problems
+
+
 def test_external_validation():
     registry = {"A": inert_contract()}
     state = ChainState({"A": Account(), "ext": Account()})
