@@ -3,7 +3,8 @@
     python3 tools/bench_pairs.py PARENT_REF PAIRS
 
 The change is this checkout, as its files stand; the parent is PARENT_REF,
-checked out into a temporary git worktree that is removed afterwards. For
+exported with `git archive` into a temporary directory that is removed
+afterwards. For
 every workload in BENCHMARK.json the script runs
 
     perfbench/run.py --workload W --seed 0 --seconds S --trace 0
@@ -87,24 +88,25 @@ def main() -> None:
     edited = bool(git("status", "--porcelain", "--untracked-files=no"))
     with tempfile.TemporaryDirectory(prefix="bench_pairs_") as tmp:
         parent_dir = Path(tmp) / "parent"
-        git("worktree", "add", "--detach", str(parent_dir), parent_sha)
-        try:
-            checkouts = {"parent": parent_dir, "change": ROOT}
-            workloads = {}
-            for w in bench["workloads"]:
-                runs = []
-                for pair in range(pairs):
-                    order = SIDES if pair % 2 == 0 else SIDES[::-1]
-                    for position, side in enumerate(order):
-                        run = run_once(checkouts[side], w["name"], seconds)
-                        runs.append({"pair": pair, "side": side, "first": position == 0, **run})
-                        print(f"{w['name']} pair {pair} {side}: failed {run['failed']}, "
-                              f"ops_per_s {run['metrics']['ops_per_s']:.1f}", file=sys.stderr)
-                workloads[w["name"]] = {
-                    "metrics": summarize(runs, bench["end_to_end"]), "runs": runs,
-                }
-        finally:
-            git("worktree", "remove", "--force", str(parent_dir))
+        parent_dir.mkdir()
+        archive = subprocess.run(
+            ["git", "archive", parent_sha], cwd=ROOT, capture_output=True, check=True
+        ).stdout
+        subprocess.run(["tar", "-x", "-C", str(parent_dir)], input=archive, check=True)
+        checkouts = {"parent": parent_dir, "change": ROOT}
+        workloads = {}
+        for w in bench["workloads"]:
+            runs = []
+            for pair in range(pairs):
+                order = SIDES if pair % 2 == 0 else SIDES[::-1]
+                for position, side in enumerate(order):
+                    run = run_once(checkouts[side], w["name"], seconds)
+                    runs.append({"pair": pair, "side": side, "first": position == 0, **run})
+                    print(f"{w['name']} pair {pair} {side}: failed {run['failed']}, "
+                          f"ops_per_s {run['metrics']['ops_per_s']:.1f}", file=sys.stderr)
+            workloads[w["name"]] = {
+                "metrics": summarize(runs, bench["end_to_end"]), "runs": runs,
+            }
     result = {
         "parent": parent_sha,
         "change": git("rev-parse", "HEAD"),
