@@ -22,24 +22,28 @@ from .engine import EMIT_COST, OP_COST, TxResult, replay_step
 
 
 def check_queue_laws(trace: Trace) -> list[str]:
-    """DFS: queue' = emitted ++ rest. BFS: queue' = rest ++ emitted. Exact."""
+    """Each record starts from the queue the previous one left, the first
+    from the external operation alone. An op record executes the queue's
+    head and leaves emitted ++ rest under DFS, rest ++ emitted under BFS.
+    Every other record leaves the queue as it found it. Exact."""
     problems = []
+    dfs = trace.meta.scheduler is SchedulerKind.DFS
+    previous = (trace.meta.external,)
     for r in trace.records:
-        if r.kind is not RecordKind.OP:
-            if r.queue_before != r.queue_after:
-                problems.append(f"record {r.index}: hook step changed the queue")
-            continue
-        rest = r.queue_before[1:]
-        if trace.meta.scheduler is SchedulerKind.DFS:
-            expect = r.emitted + rest
-        else:
-            expect = rest + r.emitted
+        # The engine hands each record the tuple the previous one left, so
+        # identity settles continuity without walking the queue.
+        if r.queue_before is not previous and r.queue_before != previous:
+            problems.append(f"record {r.index}: queue does not continue the previous record")
+        previous, expect = r.queue_after, r.queue_before
+        if r.kind is RecordKind.OP:
+            rest = r.queue_before[1:]
+            expect = r.emitted + rest if dfs else rest + r.emitted
+            if r.queue_before[:1] != (r.executed,):
+                problems.append(f"record {r.index}: executed op is not the queue head")
         if r.queue_after != expect:
             problems.append(
-                f"record {r.index}: queue law violated for {trace.meta.scheduler.value}"
+                f"record {r.index}: {r.kind.value} breaks the {trace.meta.scheduler.value} queue law"
             )
-        if r.queue_before[:1] != (r.executed,):
-            problems.append(f"record {r.index}: executed op is not the queue head")
     return problems
 
 
@@ -60,68 +64,58 @@ def check_gas(trace: Trace) -> list[str]:
     return problems
 
 
-def check_monitor_shape(trace: Trace, registry: Registry) -> list[str]:
-    """Init at most once and strictly before the first Op of its contract;
-    Begin/Op/End contiguous where those hooks exist; all Terms after the last
-    Op, in first-visit order."""
-    problems = []
-    monitored = {a for a, c in registry.items() if c.monitored}
-    records = trace.records
-    inits: dict[Address, int] = {}
-    first_op: dict[Address, int] = {}
-    visit_order: list[Address] = []
-    last_op_index = -1
-    for r in records:
-        if r.kind is RecordKind.INIT:
-            if r.subject in inits:
-                problems.append(f"record {r.index}: second init for {r.subject}")
-            inits[r.subject] = r.index
-        elif r.kind is RecordKind.OP:
-            last_op_index = r.index
-            if r.subject not in first_op:
-                first_op[r.subject] = r.index
-                visit_order.append(r.subject)
+# The records the monitor law orders: all but the end-phase mechanism records.
+_SHAPED = frozenset(RecordKind) - {RecordKind.HOOKUP, RecordKind.FAIL_BIT_CHECK}
 
-    if trace.meta.monitor_mode is MonitorMode.TRANSACTION:
-        for addr, idx in first_op.items():
-            if addr in monitored:
-                if addr not in inits:
-                    problems.append(f"no init for monitored contract {addr}")
-                elif inits[addr] > idx:
-                    problems.append(f"init for {addr} after its first operation")
-    for addr in inits:
-        if addr not in first_op:
-            problems.append(f"init without any operation for {addr}")
 
-    if trace.meta.monitor_mode is not MonitorMode.NONE:
-        for r in records:
-            if r.kind is not RecordKind.OP:
-                continue
-            contract = registry.get(r.subject)
-            if contract is None:
-                continue
-            before = records[r.index - 1] if r.index > 0 else None
-            after = records[r.index + 1] if r.index + 1 < len(records) else None
-            if contract.begin is not None and not (
-                before and before.kind is RecordKind.BEGIN and before.subject == r.subject
-            ):
-                problems.append(f"record {r.index}: operation not preceded by begin")
-            if contract.end is not None and not (
-                after and after.kind is RecordKind.END and after.subject == r.subject
-            ):
-                problems.append(f"record {r.index}: operation not followed by end")
+def _op_shape(
+    registry: Registry, mode: MonitorMode, subject: Address, first_visit: bool
+) -> list[tuple[RecordKind, Address]]:
+    """The records one operation at `subject` calls for: [init] [begin] op [end]."""
+    contract = registry.get(subject)
+    hooked = contract is not None and mode is not MonitorMode.NONE
+    kinds = []
+    if hooked and first_visit and mode is MonitorMode.TRANSACTION and contract.monitored:
+        kinds.append(RecordKind.INIT)
+    if hooked and contract.begin is not None:
+        kinds.append(RecordKind.BEGIN)
+    kinds.append(RecordKind.OP)
+    if hooked and contract.end is not None:
+        kinds.append(RecordKind.END)
+    return [(kind, subject) for kind in kinds]
 
-    term_subjects = [r.subject for r in records if r.kind is RecordKind.TERM]
-    for r in records:
-        if r.kind is RecordKind.TERM and r.index < last_op_index:
-            problems.append(f"record {r.index}: term before the last operation")
-    if trace.meta.monitor_mode is MonitorMode.TRANSACTION and term_subjects:
-        expected_terms = [a for a in visit_order if a in monitored]
-        if term_subjects != expected_terms[: len(term_subjects)]:
-            problems.append(
-                f"terms out of first-visit order: {term_subjects} vs {expected_terms}"
-            )
-    return problems
+
+def check_monitor_shape(result: TxResult, registry: Registry) -> list[str]:
+    """The init/begin/op/end/term records are exactly those the op records
+    call for: each op its `_op_shape`, then one term per init, in the same
+    order. An aborted trace may stop early: it is a prefix of that, or every
+    op's records followed by the opening hooks of a step that never reached
+    its op."""
+    mode = result.trace.meta.monitor_mode
+    found = [r for r in result.trace.records if r.kind in _SHAPED]
+    later: dict[Address, list] = {}  # a visited contract's shape after its first op
+    steps: list[tuple[RecordKind, Address]] = []
+    for r in found:
+        if r.kind is RecordKind.OP:
+            shape = later.get(r.subject)
+            if shape is None:
+                shape = _op_shape(registry, mode, r.subject, True)
+                later[r.subject] = _op_shape(registry, mode, r.subject, False)
+            steps += shape
+    law = steps + [(RecordKind.TERM, a) for kind, a in steps if kind is RecordKind.INIT]
+    aborted = isinstance(result.outcome, Aborted)
+    if aborted and len(found) > len(steps) and found[len(steps)].kind is not RecordKind.TERM:
+        a = found[len(steps)].subject
+        shape = _op_shape(registry, mode, a, a not in later)
+        law = steps + shape[: shape.index((RecordKind.OP, a))]
+    mismatches = (i for i, (r, want) in enumerate(zip(found, law)) if (r.kind, r.subject) != want)
+    i = next(mismatches, min(len(found), len(law)))
+    if i == len(found) and (aborted or i == len(law)):
+        return []
+    r = found[i] if i < len(found) else None
+    where = f"record {r.index}: {r.kind.value} {r.subject}" if r else "trace ends"
+    wanted = f"{law[i][0].value} {law[i][1]}" if i < len(law) else "nothing more"
+    return [f"{where} where the monitor law calls for {wanted}"]
 
 
 def check_hook_isolation(trace: Trace) -> list[str]:
@@ -168,7 +162,7 @@ def check_all(registry: Registry, pre: ChainState, result: TxResult) -> list[str
     problems = []
     problems += check_queue_laws(result.trace)
     problems += check_gas(result.trace)
-    problems += check_monitor_shape(result.trace, registry)
+    problems += check_monitor_shape(result, registry)
     problems += check_hook_isolation(result.trace)
     problems += check_conservation(pre, result)
     problems += check_replay(registry, result.trace)

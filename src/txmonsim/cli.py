@@ -1,7 +1,7 @@
 """Command-line front end.
 
     txmonsim run SCENARIO.json [--trace OUT] [overrides]   exit 0/1/2
-    txmonsim diff A.trace B.trace [--subject A] [--upto N] exit 0/1
+    txmonsim diff A.trace B.trace [--subject A] [--upto N] exit 0/1/2
     txmonsim suite {counterexamples|flashloan|equivalence} exit 0/1
     txmonsim explain REPORT.json                           exit 0/1
 
@@ -134,6 +134,8 @@ def run(scenario_path, scheduler, gas, mechanisms, monitor_mode, trace_out, fmt)
 @click.option("--upto", type=click.IntRange(min=1), help="Compare through invocation N (from 1).")
 def diff(trace_a, trace_b, subject, upto):
     """Compare two trace files: full records, or one contract's observations."""
+    if upto is not None and subject is None:
+        raise click.UsageError("--upto bounds --subject's invocations; give --subject too")
     try:
         ta = load_traces(Path(trace_a).read_text())
         tb = load_traces(Path(trace_b).read_text())

@@ -295,9 +295,11 @@ def dump_traces(traces: list[Trace]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _require_executed(record: StepRecord, where: str) -> StepRecord:
-    """The one relation between record fields that the types leave open:
-    an op record names the operation it executed."""
+def _check_record(record: StepRecord, position: int, where: str) -> StepRecord:
+    """The relations the types leave open: a record's index is its position
+    in its trace, and an op record names the operation it executed."""
+    if record.index != position:
+        raise ScenarioError(f"{where}: record {position} has index {record.index}")
     if record.kind is RecordKind.OP and record.executed is None:
         raise ScenarioError(f"{where}: op record {record.index} has no executed operation")
     return record
@@ -322,7 +324,7 @@ def load_traces(text: str) -> list[Trace]:
                 if not (type(tx) is int and 0 <= tx < len(records)):
                     raise ScenarioError(f"record of transaction {tx!r}, which has no meta line")
                 record = from_json(StepRecord, obj["record"])
-                records[tx].append(_require_executed(record, f"transaction {tx}"))
+                records[tx].append(_check_record(record, len(records[tx]), f"transaction {tx}"))
             else:
                 raise ScenarioError(f"unrecognized trace line: {line[:80]}")
     return [Trace(meta=m, records=tuple(rs)) for m, rs in zip(metas, records)]
@@ -349,8 +351,8 @@ def report_from_json(obj: Mapping) -> CounterexampleReport:
                 if name is not None and name not in report.traces:
                     raise ScenarioError(f"{type(claim).__name__}.{attr} names no trace: {name!r}")
         for name, trace in report.traces.items():
-            for record in trace.records:
-                _require_executed(record, f"trace {name!r}")
+            for position, record in enumerate(trace.records):
+                _check_record(record, position, f"trace {name!r}")
         if report.verdicts.keys() != report.traces.keys():
             raise ScenarioError(
                 f"verdicts for {sorted(report.verdicts)} do not match traces "

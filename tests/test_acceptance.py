@@ -431,7 +431,7 @@ def test_c10_global_invariants(battery):
             else:
                 assert state.total_supply() == res.outcome.final.total_supply()
             assert check_gas(res.trace) == []
-            assert check_monitor_shape(res.trace, registry) == []
+            assert check_monitor_shape(res, registry) == []
             assert check_hook_isolation(res.trace) == []
             assert check_replay(registry, res.trace) == []
             if isinstance(res.outcome, Committed):

@@ -335,6 +335,19 @@ def _trace_with_op_record_without_executed():
     return "diff", "\n".join(json.dumps(line) for line in lines), "has no executed operation"
 
 
+def _trace_with_a_repeated_record_index():
+    lines = _trace_lines()
+    lines[9]["record"]["index"] = 7
+    named = "trace line 10: transaction 0: record 8 has index 7"
+    return "diff", "\n".join(json.dumps(line) for line in lines), named
+
+
+def _report_with_a_repeated_record_index():
+    bundle = report_to_json(build_report(REPORTS["dfs_no_queue"]))
+    bundle["traces"]["busy_plain"]["records"][1]["index"] = 0
+    return "explain", json.dumps(bundle), "trace 'busy_plain': record 1 has index 0"
+
+
 def _report_with_op_record_without_executed():
     bundle = report_to_json(build_report(REPORTS["dfs_no_queue"]))
     bundle["traces"]["busy_plain"]["records"][1]["executed"] = None
@@ -504,6 +517,8 @@ def _storage_with_int_address():
         _record_with_fractional_money,
         _trace_with_op_record_without_executed,
         _report_with_op_record_without_executed,
+        _trace_with_a_repeated_record_index,
+        _report_with_a_repeated_record_index,
         _obs_claim_with_string_upto,
         _queue_claim_with_int_shape,
         _scenario_with_fractional_balance,
@@ -573,4 +588,13 @@ def test_diff_upto_below_one_exits_two(runner, tmp_path):
     assert split.exit_code == 1, split.output
     result = runner.invoke(main, ["diff", str(a), str(b), "--subject", "A", "--upto", "0"])
     assert result.exit_code == 2, result.output
+    assert "traces equal" not in result.output
+
+
+def test_diff_upto_without_subject_exits_two(runner, tmp_path):
+    path = tmp_path / "t.trace"
+    path.write_text(dump_traces([build_report(REPORTS["dfs_only_once"]).traces["o2"]]))
+    result = runner.invoke(main, ["diff", str(path), str(path), "--upto", "1"])
+    assert result.exit_code == 2, result.output
+    assert "--upto bounds --subject" in result.output
     assert "traces equal" not in result.output

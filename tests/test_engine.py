@@ -307,6 +307,20 @@ def test_check_all_names_a_record_that_breaks_the_gas_law():
     assert any(p.startswith("record 1: op spent 4 gas") for p in problems), problems
 
 
+def test_check_all_names_a_record_that_executes_an_operation_never_pending():
+    registry, state = _forwarders()
+    plan = VSeq((callspec("A", "run", VSeq((callspec("C"),))), callspec("C")))
+    res = run_one(registry, state, external("B", "run", plan))
+    records = list(res.trace.records)
+    assert _labels(records[2].queue_before) == ["C.ping", "C.ping"]
+    pong = replace(records[2].executed, method="pong")
+    records[2] = replace(records[2], executed=pong, queue_before=(pong,) + records[2].queue_before[1:])
+    tampered = replace(res, trace=replace(res.trace, records=tuple(records)))
+    assert check_all(registry, state, tampered) == [
+        "record 2: queue does not continue the previous record"
+    ]
+
+
 def test_external_validation():
     registry = {"A": inert_contract()}
     state = ChainState({"A": Account(), "ext": Account()})

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 from dataclasses import replace
 
+import pytest
+
 from conftest import external, inert_contract
-from txmonsim.checks import check_hook_isolation, check_monitor_shape
+from txmonsim.checks import check_all, check_hook_isolation, check_monitor_shape
 from txmonsim.contracts import build, callspec
 from txmonsim.core import (
     Aborted,
@@ -18,6 +20,7 @@ from txmonsim.core import (
     MonitorMode,
     MonitorTermFail,
     RecordKind,
+    StepFail,
     VInt,
     VSeq,
     as_int,
@@ -80,7 +83,7 @@ def test_untouched_monitored_contract_gets_no_init_or_term():
 def test_monitor_record_shape_and_isolation():
     registry = once_registry()
     res = run_monitored(registry, once_state(), external("B", "run", plan(2)))
-    assert check_monitor_shape(res.trace, registry) == []
+    assert check_monitor_shape(res, registry) == []
     assert check_hook_isolation(res.trace) == []
     kinds = [(r.kind, r.subject) for r in res.trace.records]
     # one init strictly before A's first op, begin/end bracketing, term last
@@ -188,3 +191,79 @@ def test_monitor_storage_survives_between_transactions_until_next_init():
     res2 = run_monitored(registry, state2, external("B", "run", plan(3)))
     assert res2.committed
     assert as_int(res2.outcome.final.monitor_storage("A")) == 3
+
+
+def _refuse(*args):
+    raise ContractError("refused")
+
+
+# Ways a step of A can abort, as (hook or step replacements, gas limit). With
+# a limit of 4, B's run spends it all and A's opening hooks run before A's op
+# finds none left.
+ABORTS = {
+    "init": ({"init": _refuse}, 100),
+    "begin": ({"begin": _refuse}, 100),
+    "step": ({"step": lambda view, method, param, money, storage, balance: StepFail("no")}, 100),
+    "end": ({"end": _refuse}, 100),
+    "term": ({"term": _refuse}, 100),
+    "gas": ({}, 4),
+}
+
+
+@pytest.mark.parametrize(
+    "mode, where",
+    [(MonitorMode.OPERATION, w) for w in ("begin", "step", "end", "gas")]
+    + [(MonitorMode.TRANSACTION, w) for w in ABORTS],
+)
+def test_check_all_holds_when_a_monitored_step_aborts(mode, where):
+    changes, gas = ABORTS[where]
+    registry = once_registry(A=replace(build("once_monitored_A", {}, 0).contract, **changes))
+    engine = Engine(registry, EngineConfig(monitor_mode=mode, gas_limit=gas))
+    res = engine.run_transaction(once_state(), external("B", "run", plan(2)))
+    assert isinstance(res.outcome, Aborted)
+    assert check_all(registry, once_state(), res) == []
+
+
+def _two_monitored(mode):
+    """A committed run of B calling A twice, D twice, then C; A and D are
+    both monitored for being called once."""
+    registry = once_registry(D=build("once_monitored_A", {}, 0).contract)
+    state = ChainState(dict(once_state().items()) | {"D": Account(monitor_storage=VInt(0))})
+    calls = VSeq((callspec("A"), callspec("A"), callspec("D"), callspec("D"), callspec("C")))
+    engine = Engine(registry, EngineConfig(monitor_mode=mode, gas_limit=100))
+    res = engine.run_transaction(state, external("B", "run", calls))
+    assert res.committed and check_monitor_shape(res, registry) == []
+    return registry, res
+
+
+def _hook_before_first_a(kind):
+    return lambda rs: rs[:1] + [replace(rs[1], kind=kind)] + rs[1:]
+
+
+# The transaction-monitored run's records are: op B; init, begin, op, end of
+# A; begin, op, end of A; the same for D; op C; term A; term D.
+TAMPERS = {
+    "end dropped": (MonitorMode.TRANSACTION, lambda rs: rs[:4] + rs[5:], "record 5: begin A"),
+    "term dropped": (MonitorMode.TRANSACTION, lambda rs: rs[:-1], "trace ends"),
+    "terms swapped": (
+        MonitorMode.TRANSACTION, lambda rs: rs[:-2] + [rs[-1], rs[-2]], "record 17: term D"
+    ),
+    "second init": (
+        MonitorMode.TRANSACTION, lambda rs: rs[:5] + [rs[1]] + rs[5:], "record 1: init A where"
+    ),
+    "begin under none": (
+        MonitorMode.NONE, _hook_before_first_a(RecordKind.BEGIN), "record 1: begin A"
+    ),
+    "init under operation monitoring": (
+        MonitorMode.OPERATION, _hook_before_first_a(RecordKind.INIT), "record 1: init A"
+    ),
+}
+
+
+@pytest.mark.parametrize("tamper", TAMPERS)
+def test_monitor_shape_names_the_first_record_off_the_law(tamper):
+    mode, edit, named = TAMPERS[tamper]
+    registry, res = _two_monitored(mode)
+    tampered = replace(res, trace=replace(res.trace, records=tuple(edit(list(res.trace.records)))))
+    problems = check_monitor_shape(tampered, registry)
+    assert len(problems) == 1 and problems[0].startswith(named), problems

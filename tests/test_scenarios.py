@@ -2,15 +2,23 @@
 
 from __future__ import annotations
 
-import pytest
+import json
 from dataclasses import replace
+from pathlib import Path
+
+import pytest
 
 from txmonsim.checks import check_all
 from txmonsim.contracts import BUILTINS, build
-from txmonsim.core import ScenarioError
+from txmonsim.core import ScenarioError, SchedulerKind
 from txmonsim.engine import Engine
 from txmonsim.scenarios import (
+    L1,
+    LENDER_VARIANTS,
     REPORTS,
+    SINK,
+    STAGED_CLIENTS,
+    LenderVariant,
     ObsClaim,
     QueueClaim,
     VerdictClaim,
@@ -20,8 +28,11 @@ from txmonsim.scenarios import (
     counterexample_suite,
     observations_of,
     run_flashloan_suite,
+    run_scenario,
     verify_report,
+    _loan_scenario,
 )
+from txmonsim.serialize import scenario_from_json
 
 
 def test_every_builtin_constructs():
@@ -215,3 +226,40 @@ def test_every_lender_refuses_a_loan_above_its_balance():
         assert result.final_state == result.pre_state
     with pytest.raises(ScenarioError, match="repays at most the loan"):
         build("client_partial", {"l": L1, "sink": SINK, "amount": 100, "repay_amount": 101}, 0)
+
+
+def _fixture_scenarios():
+    fixtures = sorted((Path(__file__).resolve().parent.parent / "scenarios").glob("*.json"))
+    assert len(fixtures) == 4
+    return [scenario_from_json(json.loads(path.read_text())) for path in fixtures]
+
+
+def _counterexample_scenarios():
+    return [run.scenario for spec in REPORTS.values() for run in spec.runs]
+
+
+def _flashloan_scenarios():
+    """Every lender, the naive one too, against the suite's staged and
+    straight-line clients and against a loan above its balance."""
+    clients = [(client, params) for _, client, params, _ in STAGED_CLIENTS] + [
+        ("client_two_loans", STAGED_CLIENTS[0][2]),
+        ("client_malicious", {"l": L1, "sink": SINK, "amount": 150}),
+    ]
+    naive = LenderVariant("naive@dfs", "lender_naive", SchedulerKind.DFS)
+    return [
+        _loan_scenario(variant, client, params)
+        for variant in LENDER_VARIANTS + (naive,)
+        for client, params in clients
+    ]
+
+
+@pytest.mark.parametrize(
+    "scenarios", [_fixture_scenarios, _counterexample_scenarios, _flashloan_scenarios]
+)
+def test_check_all_holds_on_every_trace_the_package_produces(scenarios):
+    for spec in scenarios():
+        state, registry = build_scenario(spec)
+        for tx in run_scenario(spec, debug=True).results:
+            assert check_all(registry, state, tx) == [], (spec, tx.outcome)
+            if tx.committed:
+                state = tx.outcome.final
