@@ -12,6 +12,7 @@ from .core import (
     ChainState,
     Committed,
     MonitorMode,
+    Pending,
     RecordKind,
     Registry,
     SchedulerKind,
@@ -24,22 +25,25 @@ from .engine import EMIT_COST, OP_COST, TxResult, replay_step
 def check_queue_laws(trace: Trace) -> list[str]:
     """Each record starts from the queue the previous one left, the first
     from the external operation alone. An op record executes the queue's
-    head and leaves emitted ++ rest under DFS, rest ++ emitted under BFS.
-    Every other record leaves the queue as it found it. Exact."""
+    head and leaves `before.drop().push(emitted, front=dfs)`: emitted ++ rest
+    under DFS, rest ++ emitted under BFS. Every other record leaves the queue
+    as it found it. Exact. On the engine's traces, whose queues share their
+    pairs, a record costs O(emitted); on records built elsewhere, O(queue)."""
     problems = []
     dfs = trace.meta.scheduler is SchedulerKind.DFS
-    previous = (trace.meta.external,)
+    previous = Pending((trace.meta.external,))
     for r in trace.records:
-        # The engine hands each record the tuple the previous one left, so
-        # identity settles continuity without walking the queue.
-        if r.queue_before is not previous and r.queue_before != previous:
+        before = r.queue_before
+        if before != previous:
             problems.append(f"record {r.index}: queue does not continue the previous record")
-        previous, expect = r.queue_after, r.queue_before
+        previous, expect = r.queue_after, before
         if r.kind is RecordKind.OP:
-            rest = r.queue_before[1:]
-            expect = r.emitted + rest if dfs else rest + r.emitted
-            if r.queue_before[:1] != (r.executed,):
+            if not before:
+                problems.append(f"record {r.index}: op record starts from an empty queue")
+                continue
+            if before.head() != r.executed:
                 problems.append(f"record {r.index}: executed op is not the queue head")
+            expect = before.drop().push(r.emitted, front=dfs)
         if r.queue_after != expect:
             problems.append(
                 f"record {r.index}: {r.kind.value} breaks the {trace.meta.scheduler.value} queue law"

@@ -17,10 +17,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Any, Callable, ClassVar, Iterable, Mapping, Optional
+from itertools import islice
+from operator import index
+from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Union
 
 Address = str
 
@@ -371,7 +373,7 @@ def _value_blob(v: Value) -> str:
     return json.dumps(canon(v), separators=(",", ":"))
 
 
-def _segments(state: ChainState) -> tuple[dict[Address, int], list[str], list[str]]:
+def _segments(state: _ChainState) -> tuple[dict[Address, int], list[str], list[str]]:
     """The state's sorted address order and its `addr=storage` and
     `addr=storage:balance:monitor` segments in that order, rebuilt only for
     the accounts changed since the digested ancestor, if there is one."""
@@ -394,7 +396,7 @@ def _segments(state: ChainState) -> tuple[dict[Address, int], list[str], list[st
     return state._payload
 
 
-def digest(state: ChainState) -> str:
+def digest(state: _ChainState) -> str:
     """Stable digest of a chain state, independent of mapping iteration order:
     SHA-256 over the full segments of every account in address order."""
     if state._digest is None:
@@ -403,7 +405,7 @@ def digest(state: ChainState) -> str:
     return state._digest
 
 
-def storage_digest(state: ChainState) -> str:
+def storage_digest(state: _ChainState) -> str:
     """Digest over contract storages only (no balances, no monitor storage);
     hook-isolation checks rely on this staying constant across hook steps."""
     if state._storage_digest is None:
@@ -413,10 +415,138 @@ def storage_digest(state: ChainState) -> str:
 
 
 # ---------------------------------------------------------------------------
+# The pending-operation queue
+
+# A chain is None or an (op, chain) pair.
+_Chain = Optional[tuple[Operation, Any]]
+
+
+class Pending:
+    """The pending-operation queue: an immutable sequence of operations that
+    shares structure with the queue it was made from.
+
+    This is Okasaki's batched queue (*Purely Functional Data Structures*,
+    1998): `front` is a chain of (op, next) pairs in queue order, `back` one
+    in reverse order, and `front` is empty only when the whole queue is.
+    `drop` and `push` return a new queue that shares every pair it keeps
+    with the old one, so a trace whose records each hold their queues holds
+    O(records + emissions) pairs, not a full copy per record. No snapshot
+    ever changes, so engines on separate threads stay independent. `head`
+    is O(1), `push` O(len(ops)), and `drop` O(1) except when it empties the
+    front, which then takes the back, reversed: O(1) amortized when each
+    queue is dropped from once, as the engine's are.
+
+    It reads as a sequence: `len`, iteration from front to back, an int index
+    gives an operation and a slice a tuple. It is equal to, and hashes like,
+    the tuple of its operations.
+    """
+
+    __slots__ = ("_front", "_back", "_len")
+
+    def __init__(self, ops: Iterable[Operation] = ()):
+        ops = tuple(ops)
+        front: _Chain = None
+        for op in reversed(ops):
+            front = (op, front)
+        self._front, self._back, self._len = front, None, len(ops)
+
+    def head(self) -> Operation:
+        if self._front is None:
+            raise IndexError("head of an empty queue")
+        return self._front[0]
+
+    def drop(self) -> "Pending":
+        """The queue without its head."""
+        if self._front is None:
+            raise IndexError("drop from an empty queue")
+        return _pending(self._front[1], self._back, self._len - 1)
+
+    def push(self, ops: tuple[Operation, ...], front: bool) -> "Pending":
+        """The queue with `ops`, in their order, ahead of it or behind it."""
+        if not ops:
+            return self
+        if front:
+            chain = self._front
+            for op in reversed(ops):
+                chain = (op, chain)
+            return _pending(chain, self._back, self._len + len(ops))
+        chain = self._back
+        for op in ops:
+            chain = (op, chain)
+        return _pending(self._front, chain, self._len + len(ops))
+
+    def __len__(self) -> int:
+        return self._len
+
+    def __iter__(self) -> Iterator[Operation]:
+        node = self._front
+        while node is not None:
+            op, node = node
+            yield op
+        if self._back is not None:
+            yield from reversed(_ops(self._back))
+
+    def __getitem__(self, key: Union[int, slice]) -> Any:
+        if isinstance(key, slice):
+            return tuple(self)[key]
+        i = index(key)
+        if i < 0:
+            i += self._len
+        if not 0 <= i < self._len:
+            raise IndexError("queue index out of range")
+        return next(islice(self, i, None))
+
+    def __eq__(self, other: object) -> bool:
+        """Equal to a queue or tuple with the same operations in the same
+        order. Two queues are walked pair by pair, front from the head and
+        back from the tail, until their chains meet in a shared pair; only
+        chains of different shapes are compared as tuples."""
+        if isinstance(other, tuple):
+            return self._len == len(other) and tuple(self) == other
+        if not isinstance(other, Pending):
+            return NotImplemented
+        if self._len != other._len:
+            return False
+        for a, b in ((self._front, other._front), (self._back, other._back)):
+            while a is not b:
+                if a is None or b is None:
+                    return tuple(self) == tuple(other)
+                if a[0] != b[0]:
+                    return False
+                a, b = a[1], b[1]
+        return True
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __repr__(self) -> str:
+        return f"Pending({tuple(self)!r})"
+
+
+def _ops(chain: _Chain) -> list[Operation]:
+    out = []
+    while chain is not None:
+        op, chain = chain
+        out.append(op)
+    return out
+
+
+def _pending(front: _Chain, back: _Chain, size: int) -> Pending:
+    """A queue of the given chains; an empty front takes the back, reversed."""
+    if front is None and back is not None:
+        for op in _ops(back):
+            front = (op, front)
+        back = None
+    q = object.__new__(Pending)
+    q._front, q._back, q._len = front, back, size
+    return q
+
+
+# ---------------------------------------------------------------------------
 # Transaction context
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Context:
     """Transaction-scoped bookkeeping.
 
@@ -437,23 +567,23 @@ class Context:
     def visit(self, addr: Address) -> "Context":
         counts = dict(self.counts)
         counts[addr] = counts.get(addr, 0) + 1
-        return replace(self, counts=counts)
+        return Context(self.gas_remaining, counts, self.fail_bits, self.txmem)
 
     def count_of(self, addr: Address) -> int:
         return self.counts.get(addr, 0)
 
     def with_gas(self, gas: int) -> "Context":
-        return replace(self, gas_remaining=gas)
+        return Context(gas, self.counts, self.fail_bits, self.txmem)
 
     def with_fail_bit(self, addr: Address, value: bool) -> "Context":
         bits = dict(self.fail_bits)
         bits[addr] = value
-        return replace(self, fail_bits=bits)
+        return Context(self.gas_remaining, self.counts, bits, self.txmem)
 
     def with_txmem(self, addr: Address, value: Value) -> "Context":
         mem = dict(self.txmem)
         mem[addr] = value
-        return replace(self, txmem=mem)
+        return Context(self.gas_remaining, self.counts, self.fail_bits, mem)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +731,7 @@ class Outcome:
 @dataclass(frozen=True, slots=True)
 class Committed(Outcome):
     kind = "committed"
-    final: ChainState
+    final: _ChainState
 
 
 @dataclass(frozen=True, slots=True)
@@ -631,14 +761,15 @@ class RecordKind(str, Enum):
 class StepRecord:
     """One trace step. Op records carry enough of the step's inputs
     (storage/balance as seen, mechanism readings) to replay the step function
-    and to rebuild per-contract observations."""
+    and to rebuild per-contract observations. The queues are `Pending`; a
+    tuple given for one is turned into a `Pending`."""
 
     index: int
     kind: RecordKind
     subject: Address
     executed: Optional[Operation]
-    queue_before: tuple[Operation, ...]
-    queue_after: tuple[Operation, ...]
+    queue_before: Pending
+    queue_after: Pending
     emitted: tuple[Operation, ...]
     gas_before: int
     gas_after: int
@@ -648,6 +779,12 @@ class StepRecord:
     storage_after: Optional[Value] = None
     balance_seen: Optional[int] = None
     readings: Mapping[str, Value] = field(default_factory=dict)
+
+    def __post_init__(self) -> None:
+        if type(self.queue_before) is not Pending:
+            object.__setattr__(self, "queue_before", Pending(self.queue_before))
+        if type(self.queue_after) is not Pending:
+            object.__setattr__(self, "queue_after", Pending(self.queue_after))
 
 
 @dataclass(frozen=True)

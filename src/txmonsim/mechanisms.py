@@ -21,6 +21,7 @@ from .core import (
     ContractError,
     Context,
     Mechanism,
+    Pending,
     ScenarioError,
     VBool,
     VInt,
@@ -117,7 +118,7 @@ class ContextView:
     self_addr: Address
     contract: ContractDef
     enabled: frozenset[Mechanism]
-    pending: tuple
+    pending: Pending
     storage: Value
 
     readings: dict[str, Value] = field(default_factory=dict)

@@ -5,7 +5,8 @@ One encoder, `to_json`, and one decoder, `from_json`, walk a dataclass's
 fields by their resolved type hints. `_codec` says, per annotation, how a
 value is written and read, and builds each class's codec once, on first use:
 int, str and bool are themselves; `Value` uses the shorthand below; enums
-their `.value`; `tuple[X, ...]` an array; `frozenset[X]` a sorted array;
+their `.value`; `tuple[X, ...]` an array; a `Pending` queue the array of its
+operations, front first; `frozenset[X]` a sorted array;
 `Mapping[str, X]` an object; `object` passes through unchanged; `Optional[X]`
 allows null, except that an unset `Optional[Value]` field is left out (null
 there reads as the unit value); a nested dataclass is an object of its fields.
@@ -35,7 +36,9 @@ from typing import Any, Callable, Iterator, Optional, Union, get_args, get_origi
 
 from .core import (
     Committed,
+    Operation,
     Outcome,
+    Pending,
     RecordKind,
     ScenarioError,
     StepRecord,
@@ -197,6 +200,9 @@ def _codec(hint: Any) -> Codec:
 
 def _build_codec(hint: Any) -> Codec:
     origin, args = get_origin(hint), get_args(hint)
+    if hint is Pending:
+        enc, dec = _codec(tuple[Operation, ...])
+        return enc, lambda obj: Pending(dec(obj))
     if origin is Union:
         (inner,) = [a for a in args if a is not type(None)]
         enc, dec = _codec(inner)

@@ -328,6 +328,18 @@ def _record_with_fractional_money():
     return "diff", "\n".join(json.dumps(line) for line in lines), "Operation.money: expected an integer, got 1.5"
 
 
+def _record_with_int_queue_before():
+    lines = _trace_lines()
+    lines[1]["record"]["queue_before"] = 5
+    return "diff", "\n".join(json.dumps(line) for line in lines), "StepRecord.queue_before: expected an array, got 5"
+
+
+def _record_with_int_in_queue_after():
+    lines = _trace_lines()
+    lines[1]["record"]["queue_after"] = [5]
+    return "diff", "\n".join(json.dumps(line) for line in lines), "StepRecord.queue_after: expected an object, got 5"
+
+
 def _trace_with_op_record_without_executed():
     lines = _trace_lines()
     op_line = next(line for line in lines if line.get("record", {}).get("kind") == "op")
@@ -515,6 +527,8 @@ def _storage_with_int_address():
         _client_with_int_lender_addr,
         _client_with_list_lender_addr,
         _record_with_fractional_money,
+        _record_with_int_queue_before,
+        _record_with_int_in_queue_after,
         _trace_with_op_record_without_executed,
         _report_with_op_record_without_executed,
         _trace_with_a_repeated_record_index,

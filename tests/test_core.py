@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from txmonsim.core import (
     ChainState,
     ContractError,
     Operation,
+    Pending,
     ScenarioError,
     UNIT,
     VAmt,
@@ -256,3 +258,63 @@ def test_rec_accessors():
         VRec([("dup", UNIT), ("dup", UNIT)])
     with pytest.raises(ValueError):
         VRec([("dup", VInt(1)), ("dup", VInt(2))])
+
+
+# ---------------------------------------------------------------------------
+# The pending queue against a plain-tuple model
+
+_OPS = tuple(Operation(dest=f"C{i % 3}", src="B", method=f"m{i}") for i in range(5))
+_EDITS = st.lists(
+    st.tuples(
+        st.integers(min_value=0, max_value=999),  # which earlier snapshot
+        st.sampled_from(("drop", "front", "back")),
+        st.lists(st.sampled_from(_OPS), max_size=3).map(tuple),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(st.lists(st.sampled_from(_OPS), max_size=4).map(tuple), _EDITS)
+def test_pending_matches_a_tuple_model_across_branching_history(start, edits):
+    # Each edit applies to a randomly chosen earlier snapshot, so the history
+    # branches and later queues share pairs with several earlier ones.
+    history = [(Pending(start), start)]
+    for pick, edit, ops in edits:
+        q, model = history[pick % len(history)]
+        if edit == "drop":
+            if not model:
+                with pytest.raises(IndexError):
+                    q.drop()
+                with pytest.raises(IndexError):
+                    q.head()
+                continue
+            history.append((q.drop(), model[1:]))
+        else:
+            front = edit == "front"
+            history.append((q.push(ops, front=front), ops + model if front else model + ops))
+    for q, model in history:  # checked after every edit: no snapshot changed
+        assert tuple(q) == model and len(q) == len(model)
+        assert q == model and model == q and not q != model
+        assert hash(q) == hash(model)
+        assert q == Pending(model) and Pending(model) == q
+        assert q[1:] == model[1:] and q[::-1] == model[::-1]
+        if model:
+            assert q.head() == model[0] == q[0] and q[-1] == model[-1]
+            assert q[len(model) // 2] == model[len(model) // 2]
+        with pytest.raises(IndexError):
+            q[len(model)]
+    for (q, model), (p, other) in combinations(history, 2):
+        assert (q == p) == (model == other) == (p == q)
+
+
+def test_pending_equality_edge_cases():
+    a, b, c = _OPS[:3]
+    assert Pending() == () and not Pending() and len(Pending()) == 0
+    assert Pending((a,)) != (b,) and Pending((a,)) != (a, b)
+    assert Pending((a, b)) != [a, b]
+    # equal queues along different paths: pushed behind, then reversed into
+    # the front by a drop, against one built at once
+    q = Pending((a,)).push((b, c), front=False).drop()
+    assert q == Pending((b, c)) and hash(q) == hash((b, c))
+    assert q.push((a,), front=True) == Pending((c,)).push((a, b), front=True).push((), front=False)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import gc
+import tracemalloc
 from dataclasses import replace
 
 import pytest
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import emitting_contract, external, inert_contract
+from txmonsim import core
 from txmonsim.checks import check_all, check_atomicity, check_queue_laws, check_replay
 from txmonsim.contracts import build, call, callspec
 from txmonsim.core import (
@@ -23,6 +26,7 @@ from txmonsim.core import (
     Mechanism,
     MonitorMode,
     Operation,
+    Pending,
     RecordKind,
     RecurringEscape,
     ScenarioError,
@@ -319,6 +323,83 @@ def test_check_all_names_a_record_that_executes_an_operation_never_pending():
     assert check_all(registry, state, tampered) == [
         "record 2: queue does not continue the previous record"
     ]
+
+
+def _once_forwarder_run(scheduler, monitor_mode=MonitorMode.NONE, n=3):
+    """B forwards to the once-monitored A, then to the sink C n-1 times."""
+    registry = {
+        "A": build("once_monitored_A", {}, 0).contract,
+        "B": build("forwarder_B", {}, 0).contract,
+        "C": build("sink_C", {}, 0).contract,
+    }
+    state = ChainState({a: Account() for a in registry} | {"ext": Account()})
+    plan = VSeq((callspec("A"),) + (callspec("C"),) * (n - 1))
+    engine = Engine(registry, EngineConfig(scheduler=scheduler, gas_limit=2 * n + 10,
+                                           monitor_mode=monitor_mode))
+    return engine.run_transaction(state, external("B", "run", plan))
+
+
+def _tampered(res, index, **changes):
+    records = list(res.trace.records)
+    records[index] = replace(records[index], **changes)
+    return replace(res.trace, records=tuple(records))
+
+
+@pytest.mark.parametrize("scheduler", [SchedulerKind.DFS, SchedulerKind.BFS])
+def test_check_queue_laws_names_each_tampered_record(scheduler):
+    res = _once_forwarder_run(scheduler, MonitorMode.TRANSACTION)
+    assert check_queue_laws(res.trace) == []
+    dfs = scheduler is SchedulerKind.DFS
+    first = res.trace.ops()[0]
+    assert len(first.queue_after) == 3
+    law = f"record {first.index}: op breaks the {scheduler.value} queue law"
+    after = first.queue_after
+    for forged in (
+        after[1:] + after[:1],  # reordered
+        after[:-1],  # missing its last op
+        # a queue of the right length, sharing the rest, with one op changed
+        first.queue_before.drop().push(
+            first.emitted[:-1] + (replace(first.emitted[-1], method="pong"),), front=dfs
+        ),
+    ):
+        tampered = _tampered(res, first.index, queue_after=forged)
+        assert isinstance(tampered.records[first.index].queue_after, Pending)
+        assert law in check_queue_laws(tampered), forged
+
+    hook = next(r for r in res.trace.records if r.kind is RecordKind.BEGIN)
+    moved = _tampered(res, hook.index, queue_after=hook.queue_after[1:])
+    assert f"record {hook.index}: begin breaks the {scheduler.value} queue law" in (
+        check_queue_laws(moved)
+    )
+
+    second = res.trace.ops()[1]
+    emptied = _tampered(res, second.index, queue_before=())
+    assert f"record {second.index}: op record starts from an empty queue" in (
+        check_queue_laws(emptied)
+    )
+
+
+def _bytes_per_record(scheduler, n):
+    """Memory a fan-out-n trace holds, per record, as tracemalloc counts it."""
+    core._value_blob.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = _once_forwarder_run(scheduler, n=n)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.committed
+    return held / len(res.trace.records)
+
+
+def test_trace_memory_grows_linearly_in_records():
+    # Each record holds its queues; shared pairs keep a record's share of
+    # them constant, where a copy per record grows with the queue.
+    small, large = (_bytes_per_record(SchedulerKind.BFS, n) for n in (500, 4000))
+    assert large <= 1.5 * small, (small, large)
 
 
 def test_external_validation():
