@@ -293,9 +293,9 @@ def test_pending_matches_a_tuple_model_across_branching_history(start, edits):
         else:
             front = edit == "front"
             history.append((q.push(ops, front=front), ops + model if front else model + ops))
-    for q, model in history:  # checked after every edit: no snapshot changed
+    for q, model in history:  # checked after all edits: no snapshot changed
         assert tuple(q) == model and len(q) == len(model)
-        assert q == model and model == q and not q != model
+        assert q == model and model == q and not q != model and q != list(model)
         assert hash(q) == hash(model)
         assert q == Pending(model) and Pending(model) == q
         assert q[1:] == model[1:] and q[::-1] == model[::-1]
@@ -306,15 +306,3 @@ def test_pending_matches_a_tuple_model_across_branching_history(start, edits):
             q[len(model)]
     for (q, model), (p, other) in combinations(history, 2):
         assert (q == p) == (model == other) == (p == q)
-
-
-def test_pending_equality_edge_cases():
-    a, b, c = _OPS[:3]
-    assert Pending() == () and not Pending() and len(Pending()) == 0
-    assert Pending((a,)) != (b,) and Pending((a,)) != (a, b)
-    assert Pending((a, b)) != [a, b]
-    # equal queues along different paths: pushed behind, then reversed into
-    # the front by a drop, against one built at once
-    q = Pending((a,)).push((b, c), front=False).drop()
-    assert q == Pending((b, c)) and hash(q) == hash((b, c))
-    assert q.push((a,), front=True) == Pending((c,)).push((a, b), front=True).push((), front=False)
