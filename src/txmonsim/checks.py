@@ -6,6 +6,8 @@ runners can aggregate them into reports and tests can assert emptiness.
 
 from __future__ import annotations
 
+from typing import Optional
+
 from .core import (
     Aborted,
     Address,
@@ -19,7 +21,7 @@ from .core import (
     Trace,
     digest,
 )
-from .engine import EMIT_COST, OP_COST, TxResult, replay_step
+from .engine import EMIT_COST, OP_COST, TxResult, replayer
 
 
 def check_queue_laws(trace: Trace) -> list[str]:
@@ -97,14 +99,16 @@ def check_monitor_shape(result: TxResult, registry: Registry) -> list[str]:
     its op."""
     mode = result.trace.meta.monitor_mode
     found = [r for r in result.trace.records if r.kind in _SHAPED]
-    later: dict[Address, list] = {}  # a visited contract's shape after its first op
+    # A visited contract's shape after its first op, built at its second.
+    later: dict[Address, Optional[list]] = {}
     steps: list[tuple[RecordKind, Address]] = []
     for r in found:
         if r.kind is RecordKind.OP:
             shape = later.get(r.subject)
             if shape is None:
-                shape = _op_shape(registry, mode, r.subject, True)
-                later[r.subject] = _op_shape(registry, mode, r.subject, False)
+                first = r.subject not in later
+                shape = _op_shape(registry, mode, r.subject, first)
+                later[r.subject] = None if first else shape
             steps += shape
     law = steps + [(RecordKind.TERM, a) for kind, a in steps if kind is RecordKind.INIT]
     aborted = isinstance(result.outcome, Aborted)
@@ -149,12 +153,13 @@ def check_conservation(pre: ChainState, result: TxResult) -> list[str]:
 
 
 def check_replay(registry: Registry, trace: Trace) -> list[str]:
-    """Re-run recorded steps from their recorded inputs; pure steps must
-    reproduce their storage result and emissions exactly."""
+    """Re-run recorded steps from their recorded inputs, all through one
+    replay view; pure steps must reproduce their storage result and
+    emissions exactly."""
     problems = []
-    ops = [r for r in trace.records if r.kind is RecordKind.OP]
-    for r in ops:
-        new_storage, emitted = replay_step(registry, r)
+    replay = replayer(registry)
+    for r in trace.ops():
+        new_storage, emitted = replay(r)
         if new_storage != r.storage_after:
             problems.append(f"record {r.index}: replay produced different storage")
         if emitted != r.emitted:

@@ -388,6 +388,10 @@ def invest_sink(params: Params, balance: int) -> Builtin:
     return Builtin(ContractDef(step=methods(invest=invest, receive=_passive)))
 
 
+# A plan entry's defaults, built once rather than per entry.
+_PING, _NO_MONEY = VText("ping"), VAmt(0)
+
+
 def forwarder_B(params: Params, balance: int) -> Builtin:
     """Replays whatever call plan its parameter carries; the building block
     for scripted external-operation shapes."""
@@ -395,15 +399,11 @@ def forwarder_B(params: Params, balance: int) -> Builtin:
     def run(view, param, money, storage, balance):
         ops = []
         for spec in as_seq(param):
-            r = as_rec(spec)
-            ops.append(
-                call(
-                    as_addr(r.get("dest")),
-                    as_text(r.get("method", VText("ping"))),
-                    r.get("param", UNIT),
-                    as_amt(r.get("money", VAmt(0))),
-                )
-            )
+            fields = dict(as_rec(spec).entries)
+            ops.append(Operation(
+                as_addr(fields.get("dest")), "", as_text(fields.get("method", _PING)),
+                fields.get("param", UNIT), as_amt(fields.get("money", _NO_MONEY)),
+            ))
         return StepOk(storage, tuple(ops))
 
     return Builtin(ContractDef(step=methods(run=run, ping=_passive)))

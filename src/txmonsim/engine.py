@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 from .core import (
     AbortReason,
@@ -54,6 +54,7 @@ from .core import (
     StepRecord,
     Trace,
     TraceMeta,
+    UNIT,
     Value,
     digest,
     storage_digest,
@@ -75,16 +76,6 @@ class EngineConfig:
         if self.gas_limit < 1:
             raise ScenarioError("gas limit must be at least 1")
         object.__setattr__(self, "mechanisms", frozenset(self.mechanisms))
-
-
-@dataclass(frozen=True)
-class RunningTx:
-    """The live configuration a transaction steps through: chain state,
-    transaction context, and the pending operation queue."""
-
-    state: ChainState
-    ctx: Context
-    queue: Pending
 
 
 @dataclass(frozen=True)
@@ -122,7 +113,6 @@ class Engine:
         cfg = self.config
         self._validate_external(state, external)
 
-        ctx = Context(gas_remaining=cfg.gas_limit)
         meta = TraceMeta(
             scheduler=cfg.scheduler,
             monitor_mode=cfg.monitor_mode,
@@ -131,19 +121,19 @@ class Engine:
             external=external,
         )
         records: list[StepRecord] = []
-        tx = RunningTx(state=state, ctx=ctx, queue=Pending((external,)))
+        ctx = Context(gas_remaining=cfg.gas_limit)
+        queue = Pending((external,))
         abort: Optional[AbortReason] = None
 
-        while tx.queue:
-            stepped = self._step_op(tx, records)
+        while queue:
+            stepped = self._step_op(state, ctx, queue, records)
             if isinstance(stepped, AbortReason):
                 abort = stepped
                 break
-            tx = stepped
+            state, ctx, queue = stepped
 
-        state = tx.state
         if abort is None:
-            state, abort = self._end_phases(tx, records)
+            state, abort = self._end_phases(state, ctx, queue, records)
 
         trace = Trace(meta=meta, records=tuple(records))
         if abort is not None:
@@ -153,11 +143,9 @@ class Engine:
     # -- single operation ------------------------------------------------------
 
     def _step_op(
-        self, tx: RunningTx, records: list[StepRecord]
-    ) -> Union[AbortReason, RunningTx]:
+        self, state: ChainState, ctx: Context, queue: Pending, records: list[StepRecord]
+    ) -> Union[AbortReason, tuple[ChainState, Context, Pending]]:
         cfg = self.config
-        state, ctx = tx.state, tx.ctx
-        queue = tx.queue
         op = queue.head()
         rest = queue.drop()
         contract = self.registry.get(op.dest)
@@ -186,11 +174,12 @@ class Engine:
             state = state.with_monitor_storage(op.dest, new_ms)
             self._record(records, RecordKind.BEGIN, op.dest, state, ctx.gas_remaining, queue, op)
 
+        # The op's cost is tested before the step and charged with its
+        # emissions after it, so an unaffordable op never runs.
         gas_before = ctx.gas_remaining
-        charged = charge_gas(ctx, OP_COST)
-        if charged is None:
+        if OP_COST > gas_before:
             return GasExhausted()
-        ctx = charged.visit(op.dest)
+        ctx = ctx.visit(op.dest)
 
         if state.balance(op.src) < op.money:
             return InsufficientBalance(op)
@@ -234,19 +223,19 @@ class Engine:
             ):
                 return RecurringEscape(e)
 
-        charged = charge_gas(ctx, EMIT_COST * len(emitted))
+        charged = charge_gas(ctx, OP_COST + EMIT_COST * len(emitted))
         if charged is None:
             return GasExhausted()
         ctx = fold_effects(charged, op.dest, view.effects)
 
-        state = state.with_storage(op.dest, result.new_storage)
+        if result.new_storage is not acct.storage:
+            state = state.with_storage(op.dest, result.new_storage)
         new_queue = rest.push(emitted, front=cfg.scheduler is SchedulerKind.DFS)
-
-        self._record(
-            records, RecordKind.OP, op.dest, state, ctx.gas_remaining, queue, op,
-            queue_after=new_queue, emitted=emitted, gas_before=gas_before,
-            storage_before=acct.storage, readings=dict(view.readings),
-        )
+        records.append(StepRecord(
+            len(records), RecordKind.OP, op.dest, op, queue, new_queue, emitted, gas_before,
+            ctx.gas_remaining, digest(state), storage_digest(state), acct.storage,
+            result.new_storage, acct.balance, dict(view.readings),
+        ))
 
         if cfg.monitor_mode is not MonitorMode.NONE and contract.end is not None:
             try:
@@ -256,15 +245,14 @@ class Engine:
             state = state.with_monitor_storage(op.dest, new_ms)
             self._record(records, RecordKind.END, op.dest, state, ctx.gas_remaining, new_queue, op)
 
-        return RunningTx(state=state, ctx=ctx, queue=new_queue)
+        return state, ctx, new_queue
 
     # -- end-of-transaction phases ----------------------------------------------
 
     def _end_phases(
-        self, tx: RunningTx, records: list[StepRecord]
+        self, state: ChainState, ctx: Context, queue: Pending, records: list[StepRecord]
     ) -> tuple[ChainState, Optional[AbortReason]]:
         cfg = self.config
-        state, ctx, queue = tx.state, tx.ctx, tx.queue
         gas = ctx.gas_remaining
 
         for kind in (Mechanism.BSTORE, Mechanism.USTORE):
@@ -324,52 +312,55 @@ class Engine:
 
     def _record(
         self, records: list[StepRecord], kind: RecordKind, addr: Address, state: ChainState,
-        gas: int, queue: Pending, executed: Optional[Operation] = None, **changed,
+        gas: int, queue: Pending, executed: Optional[Operation] = None,
+        storage_before: Optional[Value] = None,
     ) -> None:
-        """Record a step at `addr` that ends in `state`. By default it is a
-        hook step: gas, the queue and the subject's storage are unchanged
-        across it and it emits nothing. `changed` overrides the fields the
-        step did change."""
+        """Record a hook step at `addr` that ends in `state`: gas and the
+        queue are unchanged across it and it emits nothing. The subject's
+        storage before it is its storage in `state` unless given."""
         acct = state.get(addr)
-        fields = dict(
-            queue_before=queue, queue_after=queue, emitted=(), gas_before=gas, gas_after=gas,
-            storage_before=acct.storage, storage_after=acct.storage, balance_seen=acct.balance,
-            readings={},
-        )
-        fields.update(changed)
-        records.append(
-            StepRecord(
-                index=len(records), kind=kind, subject=addr, executed=executed,
-                state_digest=digest(state), storage_digest=storage_digest(state), **fields,
-            )
-        )
+        before = acct.storage if storage_before is None else storage_before
+        records.append(StepRecord(
+            len(records), kind, addr, executed, queue, queue, (), gas, gas, digest(state),
+            storage_digest(state), before, acct.storage, acct.balance, {},
+        ))
 
 
-def replay_step(registry: Registry, record: StepRecord) -> tuple[Value, tuple[Operation, ...]]:
-    """Re-run an Op record's step function from its recorded inputs; returns
-    the storage and (src-stamped) emissions the step produces on replay."""
-    if record.kind is not RecordKind.OP or record.executed is None:
-        raise ScenarioError("only operation records can be replayed")
-    contract = registry[record.subject]
-    readings = dict(record.readings)  # a replayed txmem write lands here
+def replayer(registry: Registry) -> Callable[[StepRecord], tuple[Value, tuple[Operation, ...]]]:
+    """A function that re-runs an Op record's step function from its recorded
+    inputs and returns the storage and (src-stamped) emissions the step
+    produces on replay. Every record it replays goes through one view, whose
+    queries read the record's readings and whose writes go nowhere, except a
+    txmem write, which later txmem reads of the same step see."""
+    seen: dict[str, Value] = {}
 
     def served(query: str):
         name, _, untag = READINGS[query]
-        if name not in readings:
+        if name not in seen:
             raise ScenarioError(f"replay asked for unrecorded reading {name!r}")
-        return untag(readings[name])
+        return untag(seen[name])
 
-    view = ContextView(Context(), record.subject, contract, frozenset(), Pending(), record.storage_before)
-    view = view.derive(
-        set_txmem=partial(readings.__setitem__, READINGS["txmem"][0]), set_fail=lambda value: None,
-        **{query: partial(served, query) for query in READINGS},
-    )
-    op = record.executed
-    result = contract.step(view, op.method, op.param, op.money, record.storage_before, record.balance_seen)
-    if not isinstance(result, StepOk):
-        raise ScenarioError(f"replay of {record.index} failed: {result!r}")
-    emitted = tuple(
-        Operation(e.dest, record.subject, e.method, e.param, e.money, e.recurring)
-        for e in result.emitted
-    )
-    return result.new_storage, emitted
+    answers = {query: partial(served, query) for query in READINGS}
+    answers.update(set_txmem=partial(seen.__setitem__, READINGS["txmem"][0]), set_fail=lambda value: None)
+    view = ContextView(Context(), "", None, frozenset(), Pending(), UNIT, answers=answers)
+
+    def replay(record: StepRecord) -> tuple[Value, tuple[Operation, ...]]:
+        if record.kind is not RecordKind.OP or record.executed is None:
+            raise ScenarioError("only operation records can be replayed")
+        contract = registry[record.subject]
+        seen.clear()
+        seen.update(record.readings)
+        view.readings.clear()
+        view.effects.clear()
+        view.self_addr, view.contract, view.storage = record.subject, contract, record.storage_before
+        op = record.executed
+        result = contract.step(view, op.method, op.param, op.money, record.storage_before, record.balance_seen)
+        if not isinstance(result, StepOk):
+            raise ScenarioError(f"replay of {record.index} failed: {result!r}")
+        emitted = tuple([
+            Operation(e.dest, record.subject, e.method, e.param, e.money, e.recurring)
+            for e in result.emitted
+        ])
+        return result.new_storage, emitted
+
+    return replay

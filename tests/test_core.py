@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import json
 from itertools import combinations
+from types import MappingProxyType
 
 import pytest
 from hypothesis import given, settings
@@ -258,6 +259,17 @@ def test_rec_accessors():
         VRec([("dup", UNIT), ("dup", UNIT)])
     with pytest.raises(ValueError):
         VRec([("dup", VInt(1)), ("dup", VInt(2))])
+
+
+def test_rec_from_any_mapping_or_pair_sequence_is_the_same_record():
+    entries = {"b": VInt(1), "a": VText("x")}
+    expected = VRec(entries)
+    assert expected.entries == (("a", VText("x")), ("b", VInt(1)))
+    for given_entries in (
+        MappingProxyType(entries), tuple(entries.items()), list(entries.items()), iter(entries.items()),
+    ):
+        built = VRec(given_entries)
+        assert built == expected and built.entries == expected.entries
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from conftest import emitting_contract, external, inert_contract
 from txmonsim import core
-from txmonsim.checks import check_all, check_atomicity, check_queue_laws, check_replay
+from txmonsim.checks import check_all, check_atomicity, check_gas, check_queue_laws, check_replay
 from txmonsim.contracts import build, call, callspec
 from txmonsim.core import (
     Aborted,
@@ -32,6 +32,7 @@ from txmonsim.core import (
     ScenarioError,
     SchedulerKind,
     StepOk,
+    U64_MAX,
     UNIT,
     VAddr,
     VAmt,
@@ -41,7 +42,7 @@ from txmonsim.core import (
     digest,
 )
 from txmonsim.core import ContractDef
-from txmonsim.engine import EMIT_COST, Engine, EngineConfig, OP_COST, charge_gas, replay_step
+from txmonsim.engine import EMIT_COST, Engine, EngineConfig, OP_COST, charge_gas, replayer
 
 
 def run_one(registry, state, op, scheduler=SchedulerKind.DFS, gas=100, **cfg):
@@ -61,6 +62,55 @@ def test_charge_gas_boundary_exact():
 
 def test_charge_gas_unaffordable():
     assert charge_gas(Context(gas_remaining=4), 5) is None
+
+
+def _counted_self_call():
+    """A contract at A whose method `a` emits one call to A.b; `calls`
+    lists the methods its step ran."""
+    calls = []
+
+    def step(view, method, param, money, storage, balance):
+        calls.append(method)
+        return StepOk(storage, (call("A", "b"),) if method == "a" else ())
+
+    return {"A": ContractDef(step=step)}, calls
+
+
+@pytest.mark.parametrize(
+    "gas, outcome, calls",
+    [
+        # A.a pays for itself and its emission; A.b then meets a meter at 0
+        # and never runs.
+        (OP_COST + EMIT_COST, Aborted(GasExhausted()), ["a"]),
+        # A.a can pay for itself but not its emission: it runs, then aborts.
+        (OP_COST, Aborted(GasExhausted()), ["a"]),
+        # Both ops and the emission, to the last unit.
+        (2 * OP_COST + EMIT_COST, None, ["a", "b"]),
+    ],
+)
+def test_the_op_cost_is_tested_before_the_step_and_charged_after_it(gas, outcome, calls):
+    registry, ran = _counted_self_call()
+    state = ChainState({"A": Account(), "ext": Account()})
+    engine = Engine(registry, EngineConfig(gas_limit=gas))
+    res = engine.run_transaction(state, external("A", "a"))
+    assert ran == calls
+    if outcome is not None:
+        assert res.outcome == outcome
+    else:
+        assert res.committed
+        assert res.trace.records[-1].gas_after == 0
+        assert check_gas(res.trace) == []
+
+
+def test_a_transfer_past_the_balance_bound_aborts_and_keeps_the_pre_state():
+    registry = {"A": inert_contract()}
+    state = ChainState({"A": Account(balance=U64_MAX - 5), "ext": Account(balance=10)})
+    pre_digest = digest(state)
+    res = run_one(registry, state, external("A", money=10))
+    assert res.outcome == Aborted(ContractFail("A", "balance overflow at A"))
+    assert res.trace.records == ()
+    assert check_atomicity(state, pre_digest, res) == []
+    assert (state.balance("A"), state.balance("ext")) == (U64_MAX - 5, 10)
 
 
 def test_cost_model_three_ops_two_emissions_consume_five():
@@ -507,10 +557,60 @@ def test_replay_of_a_record_that_lost_a_reading_names_it():
     state = ChainState({"A": Account(storage=VRec({})), "ext": Account()})
     res = run_one(registry, state, external("A"), mechanisms=frozenset({Mechanism.FIRST}))
     (record,) = res.trace.ops("A")
-    assert replay_step(registry, record)[0] == VRec({"first": VBool(True)})
+    replay = replayer(registry)
+    assert replay(record)[0] == VRec({"first": VBool(True)})
     stripped = replace(record, readings={})
     with pytest.raises(ScenarioError, match="unrecorded reading 'first'"):
-        replay_step(registry, stripped)
+        replay(stripped)
+
+
+@pytest.mark.parametrize("query, reading", [("first", "first"), ("txmem", "txmem_in")])
+def test_replay_through_one_view_keeps_no_reading_of_an_earlier_record(query, reading):
+    # Record 0 reads `first` and writes txmem; record 1 reads only `query`.
+    # Replayed after record 0 through the same view, record 1 without its
+    # readings must not be answered from record 0's readings or its write.
+    def two_steps(view, method, param, money, storage, balance):
+        if method == "a":
+            view.set_txmem(VBool(view.first))
+            return StepOk(storage, (call("A", "b"),))
+        seen = getattr(view, query)
+        return StepOk(VRec({"seen": VBool(seen) if query == "first" else seen}), ())
+
+    registry = {"A": ContractDef(step=two_steps)}
+    state = ChainState({"A": Account(storage=VRec({})), "ext": Account()})
+    res = run_one(
+        registry, state, external("A", "a"), mechanisms=frozenset({Mechanism.FIRST, Mechanism.TXMEM})
+    )
+    assert res.committed
+    first, second = res.trace.ops("A")
+    assert set(first.readings) == {"first"} and set(second.readings) == {reading}
+    replay = replayer(registry)
+    assert replay(first) == (first.storage_after, first.emitted)
+    assert replay(second) == (second.storage_after, second.emitted)
+    replay(first)
+    with pytest.raises(ScenarioError, match=f"unrecorded reading {reading!r}"):
+        replay(replace(second, readings={}))
+    assert replay(second) == (second.storage_after, second.emitted)
+
+
+def test_check_replay_names_the_record_whose_storage_or_emissions_differ():
+    res = _once_forwarder_run(SchedulerKind.BFS, MonitorMode.TRANSACTION)
+    registry = {
+        "A": build("once_monitored_A", {}, 0).contract,
+        "B": build("forwarder_B", {}, 0).contract,
+        "C": build("sink_C", {}, 0).contract,
+    }
+    assert check_replay(registry, res.trace) == []
+    forwarder, _, sink = res.trace.ops()[:3]
+    assert forwarder.emitted and sink.subject == "C"
+    tampered = _tampered(res, sink.index, storage_after=VRec({"forged": VBool(True)}))
+    assert check_replay(registry, tampered) == [
+        f"record {sink.index}: replay produced different storage"
+    ]
+    tampered = _tampered(res, forwarder.index, emitted=forwarder.emitted[:-1])
+    assert check_replay(registry, tampered) == [
+        f"record {forwarder.index}: replay produced different emissions"
+    ]
 
 
 def test_step_raising_a_non_contract_error_is_a_named_harness_fault():
