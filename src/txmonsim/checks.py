@@ -6,6 +6,7 @@ runners can aggregate them into reports and tests can assert emptiness.
 
 from __future__ import annotations
 
+from itertools import pairwise
 from typing import Optional
 
 from .core import (
@@ -30,23 +31,26 @@ def check_queue_laws(trace: Trace) -> list[str]:
     head and leaves `before.drop().push(emitted, front=dfs)`: emitted ++ rest
     under DFS, rest ++ emitted under BFS. Every other record leaves the queue
     as it found it. Exact. On the engine's traces, whose queues share their
-    pairs, a record costs O(emitted); on records built elsewhere, O(queue)."""
+    pairs, a record costs O(emitted); on records built elsewhere, O(queue).
+    Each comparison tests identity first, since engine records share their
+    queues and operations."""
     problems = []
     dfs = trace.meta.scheduler is SchedulerKind.DFS
     previous = Pending((trace.meta.external,))
     for r in trace.records:
-        before = r.queue_before
-        if before != previous:
+        before, after = r.queue_before, r.queue_after
+        if before is not previous and before != previous:
             problems.append(f"record {r.index}: queue does not continue the previous record")
-        previous, expect = r.queue_after, before
+        previous, expect = after, before
         if r.kind is RecordKind.OP:
             if not before:
                 problems.append(f"record {r.index}: op record starts from an empty queue")
                 continue
-            if before.head() != r.executed:
+            head = before.head()
+            if head is not r.executed and head != r.executed:
                 problems.append(f"record {r.index}: executed op is not the queue head")
             expect = before.drop().push(r.emitted, front=dfs)
-        if r.queue_after != expect:
+        if after is not expect and after != expect:
             problems.append(
                 f"record {r.index}: {r.kind.value} breaks the {trace.meta.scheduler.value} queue law"
             )
@@ -126,13 +130,15 @@ def check_monitor_shape(result: TxResult, registry: Registry) -> list[str]:
     return [f"{where} where the monitor law calls for {wanted}"]
 
 
+_HOOKS = frozenset({RecordKind.BEGIN, RecordKind.END, RecordKind.INIT, RecordKind.TERM})
+
+
 def check_hook_isolation(trace: Trace) -> list[str]:
     """Contract storages never change across hook records."""
     problems = []
-    for i, r in enumerate(trace.records):
-        if r.kind in (RecordKind.BEGIN, RecordKind.END, RecordKind.INIT, RecordKind.TERM):
-            if i > 0 and trace.records[i - 1].storage_digest != r.storage_digest:
-                problems.append(f"record {r.index}: hook step changed contract storage")
+    for previous, r in pairwise(trace.records):
+        if r.kind in _HOOKS and previous.storage_digest != r.storage_digest:
+            problems.append(f"record {r.index}: hook step changed contract storage")
     return problems
 
 
@@ -158,7 +164,9 @@ def check_replay(registry: Registry, trace: Trace) -> list[str]:
     emissions exactly."""
     problems = []
     replay = replayer(registry)
-    for r in trace.ops():
+    for r in trace.records:
+        if r.kind is not RecordKind.OP:
+            continue
         new_storage, emitted = replay(r)
         if new_storage != r.storage_after:
             problems.append(f"record {r.index}: replay produced different storage")

@@ -5,23 +5,35 @@ Every type here is immutable after construction. The execution engine threads
 fresh snapshots through a transaction instead of mutating in place, which is
 what makes abort-time rollback and trace digests trivial to get right.
 
+The immutable types are frozen dataclasses. Every one with `__slots__`
+(values, operations, accounts, contexts, step results, outcomes and trace
+records) gets its `__init__` from `_slot_init` at import: the parameters and
+defaults are the dataclass's, but each field is stored by calling its slot
+descriptor's `__set__`, not `object.__setattr__`, which costs a second name
+lookup per field. Frozen behaviour, equality, hashing, `fields()` and
+`replace()` are the dataclass's own.
+
 A `ChainState` digest is a SHA-256 over one segment per account in address
 order. A digested state keeps those segments, and a state made from it by an
 update that keeps the address set rebuilds only the segments of the accounts
 it changed, so a trace record costs O(changed accounts) in Python rather than
-O(accounts). States built from a mapping, or by an update that adds an
-address, build every segment. The digest bytes are the same either way.
+O(accounts). A changed account whose storage is the ancestor's object keeps
+its storage segment, and when no storage changed the state also keeps the
+ancestor's storage list and storage digest, so a balance or monitor-storage
+update hashes no storage payload. States built from a mapping, or by an
+update that adds an address, build every segment. The digest bytes are the
+same either way.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
 from itertools import islice
-from operator import index
+from operator import index, itemgetter
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Union
 
 Address = str
@@ -106,14 +118,17 @@ class VRec(Value):
     def __post_init__(self) -> None:
         # dict and tuple first: an isinstance test against typing.Mapping
         # costs about a fifth of a construction.
-        pairs = self.entries
-        if isinstance(pairs, dict) or (not isinstance(pairs, tuple) and isinstance(pairs, Mapping)):
-            pairs = pairs.items()
-        items = tuple(sorted(pairs, key=lambda kv: kv[0]))
-        keys = [k for k, _ in items]
-        if len(set(keys)) != len(keys):
-            raise ValueError(f"duplicate record keys: {keys}")
-        object.__setattr__(self, "entries", items)
+        entries = self.entries
+        if isinstance(entries, dict):
+            mapping = entries
+        elif not isinstance(entries, tuple) and isinstance(entries, Mapping):
+            mapping = dict(entries)
+        else:
+            entries = tuple(entries)
+            mapping = dict(entries)
+            if len(mapping) != len(entries):
+                raise ValueError(f"duplicate record keys: {sorted(k for k, _ in entries)}")
+        object.__setattr__(self, "entries", tuple(sorted(mapping.items(), key=itemgetter(0))))
 
     def get(self, key: str, default: Optional[Value] = None) -> Optional[Value]:
         for k, v in self.entries:
@@ -377,7 +392,10 @@ def _value_blob(v: Value) -> str:
 def _segments(state: _ChainState) -> tuple[dict[Address, int], list[str], list[str]]:
     """The state's sorted address order and its `addr=storage` and
     `addr=storage:balance:monitor` segments in that order, rebuilt only for
-    the accounts changed since the digested ancestor, if there is one."""
+    the accounts changed since the digested ancestor, if there is one. A
+    changed account that holds the ancestor's storage object keeps its
+    storage segment; if every one does, the state shares the ancestor's
+    storage list and takes its storage digest."""
     if state._payload is None:
         accounts, base = state._accounts, state._base
         if base is None:
@@ -386,12 +404,18 @@ def _segments(state: _ChainState) -> tuple[dict[Address, int], list[str], list[s
             changed: Iterable[Address] = order
         else:
             order, storage, full = base._payload
-            storage, full = list(storage), list(full)
-            changed = state._changed
+            full, changed, kept = list(full), state._changed, base._accounts
+            for addr in changed:
+                if accounts[addr].storage is not kept[addr].storage:
+                    storage = list(storage)
+                    break
+            else:
+                state._storage_digest = base._storage_digest
         for addr in changed:
             acct, i = accounts[addr], order[addr]
-            storage[i] = segment = f"{addr}={_value_blob(acct.storage)}"
-            full[i] = f"{segment}:{acct.balance}:{_value_blob(acct.monitor_storage)}"
+            if base is None or acct.storage is not kept[addr].storage:
+                storage[i] = f"{addr}={_value_blob(acct.storage)}"
+            full[i] = f"{storage[i]}:{acct.balance}:{_value_blob(acct.monitor_storage)}"
         state._payload = (order, storage, full)
         state._base, state._changed = None, frozenset()
     return state._payload
@@ -410,8 +434,10 @@ def storage_digest(state: _ChainState) -> str:
     """Digest over contract storages only (no balances, no monitor storage);
     hook-isolation checks rely on this staying constant across hook steps."""
     if state._storage_digest is None:
-        payload = "|".join(_segments(state)[1])
-        state._storage_digest = hashlib.sha256(payload.encode()).hexdigest()
+        storage = _segments(state)[1]
+        # Building the segments takes the ancestor's digest when no storage changed.
+        if state._storage_digest is None:
+            state._storage_digest = hashlib.sha256("|".join(storage).encode()).hexdigest()
     return state._storage_digest
 
 
@@ -758,7 +784,7 @@ class RecordKind(str, Enum):
     FAIL_BIT_CHECK = "fail_bit_check"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StepRecord:
     """One trace step. Op records carry enough of the step's inputs
     (storage/balance as seen, mechanism readings) to replay the step function
@@ -830,3 +856,45 @@ class Observation:
     def same_view(self, other: "Observation") -> bool:
         """Positional metadata (seq_no) excluded; used for cross-run alignment."""
         return all(getattr(self, f) == getattr(other, f) for f in self._VIEW_FIELDS)
+
+
+# ---------------------------------------------------------------------------
+# Constructors
+
+
+def _slot_init(cls: type) -> Callable[..., None]:
+    """An `__init__` for the slotted frozen dataclass `cls` with the
+    parameters and defaults of the one `dataclass` writes: each default
+    factory is called once per instance, each field is stored through its
+    slot descriptor's `__set__`, and `__post_init__` runs last."""
+    names: dict[str, Any] = {"_MISSING": MISSING}
+    params, body = ["self"], []
+    for f in fields(cls):
+        if not f.init or f.kw_only:
+            raise TypeError(f"{cls.__name__}.{f.name}: only positional init fields are supported")
+        names[f"_set_{f.name}"] = cls.__dict__[f.name].__set__
+        if f.default is not MISSING:
+            names[f"_default_{f.name}"] = f.default
+            params.append(f"{f.name}=_default_{f.name}")
+        elif f.default_factory is not MISSING:
+            names[f"_factory_{f.name}"] = f.default_factory
+            params.append(f"{f.name}=_MISSING")
+            body.append(f"if {f.name} is _MISSING: {f.name} = _factory_{f.name}()")
+        else:
+            params.append(f.name)
+        body.append(f"_set_{f.name}(self, {f.name})")
+    if hasattr(cls, "__post_init__"):
+        names["_post_init"] = cls.__post_init__
+        body.append("_post_init(self)")
+    source = f"def make({', '.join(names)}):\n def __init__({', '.join(params)}):\n"
+    source += "".join(f"  {line}\n" for line in body or ["pass"]) + " return __init__\n"
+    made: dict[str, Any] = {}
+    exec(compile(source, "<slot init>", "exec"), {}, made)
+    init = made["make"](**names)
+    init.__qualname__ = f"{cls.__qualname__}.__init__"
+    return init
+
+
+for _cls in list(globals().values()):
+    if isinstance(_cls, type) and is_dataclass(_cls) and "__slots__" in vars(_cls):
+        _cls.__init__ = _slot_init(_cls)

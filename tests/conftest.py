@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 from hypothesis import strategies as st
 
 from txmonsim.core import (
@@ -63,3 +65,15 @@ def basic_state(**balances: int) -> ChainState:
 
 def external(dest: str, method: str = "ping", param=UNIT, money: int = 0, src: str = "ext") -> Operation:
     return Operation(dest=dest, src=src, method=method, param=param, money=money)
+
+
+class CountingSha256:
+    """Stands in for the `hashlib` module in `core` and counts the bytes
+    digested."""
+
+    def __init__(self) -> None:
+        self.bytes = 0
+
+    def sha256(self, data: bytes):
+        self.bytes += len(data)
+        return hashlib.sha256(data)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import inspect
 import json
 from itertools import combinations
 from types import MappingProxyType
@@ -11,22 +13,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import basic_state, value_strategy
+from conftest import CountingSha256, basic_state, value_strategy
 from txmonsim import core
 from txmonsim.core import (
+    Aborted,
     Account,
     ChainState,
+    Committed,
+    Context,
     ContractError,
+    ContractFail,
+    FailBitSet,
+    GasExhausted,
+    HookupFail,
+    InsufficientBalance,
+    MonitorBeginFail,
+    MonitorEndFail,
+    MonitorInitFail,
+    MonitorTermFail,
     Operation,
     Pending,
+    RecordKind,
+    RecurringEscape,
     ScenarioError,
+    StepFail,
+    StepOk,
+    StepRecord,
     UNIT,
+    VAddr,
     VAmt,
     VBool,
     VInt,
     VRec,
     VSeq,
     VText,
+    VUnit,
     canon,
     checked_amt,
     checked_int,
@@ -164,6 +185,31 @@ def test_an_update_rebuilds_only_the_segments_it_changed():
     assert (digest(child), storage_digest(child)) == (digest(rebuilt), storage_digest(rebuilt))
 
 
+@pytest.mark.parametrize("first", ["digest", "storage_digest"])
+def test_updates_that_keep_storage_hash_no_storage_payload(monkeypatch, first):
+    # A child whose storages are the parent's objects takes the parent's
+    # storage digest, whichever digest is read first; a storage write rehashes.
+    parent = ChainState({f"acct{i:04d}": Account(storage=VInt(i), balance=i) for i in range(1000)})
+    parent_storage = storage_digest(parent)
+    digest(parent)
+    children = {
+        "move": parent.move("acct0001", "acct0500", 1),
+        "monitor": parent.with_monitor_storage("acct0500", VInt(7)),
+        "storage": parent.with_storage("acct0500", VInt(-1)),
+    }
+    hashed = CountingSha256()
+    monkeypatch.setattr(core, "hashlib", hashed)
+    for name, child in children.items():
+        if first == "digest":
+            digest(child)
+        hashed.bytes = 0
+        child_storage = storage_digest(child)
+        assert (hashed.bytes > 0) == (name == "storage"), name
+        rebuilt = ChainState(dict(child.items()))
+        assert (digest(child), child_storage) == (digest(rebuilt), storage_digest(rebuilt)), name
+        assert (child_storage == parent_storage) == (name != "storage"), name
+
+
 def test_digest_is_order_independent_over_addresses():
     a = Account(balance=1)
     b = Account(balance=2)
@@ -270,6 +316,112 @@ def test_rec_from_any_mapping_or_pair_sequence_is_the_same_record():
     ):
         built = VRec(given_entries)
         assert built == expected and built.entries == expected.entries
+
+
+@pytest.mark.parametrize("make", [tuple, list, iter], ids=["tuple", "list", "iterator"])
+def test_rec_from_pairs_that_repeat_a_key_is_rejected(make):
+    pairs = [("b", VInt(1)), ("a", UNIT), ("a", VInt(2))]
+    with pytest.raises(ValueError, match=r"^duplicate record keys: \['a', 'a', 'b'\]$"):
+        VRec(make(pairs))
+
+
+# ---------------------------------------------------------------------------
+# Constructors of the slotted frozen types
+
+_OP = Operation("A", "ext", "run")
+_RECORD = StepRecord(0, RecordKind.OP, "A", _OP, (_OP,), (), (), 5, 4, "d", "s")
+
+# One instance of every slotted frozen type, a field and another value for it.
+_FROZEN_EXAMPLES = {
+    VUnit: (VUnit(), None, None),
+    VBool: (VBool(True), "b", False),
+    VInt: (VInt(1), "n", 2),
+    VAmt: (VAmt(1), "n", 2),
+    VAddr: (VAddr("A"), "addr", "B"),
+    VText: (VText("x"), "s", "y"),
+    VSeq: (VSeq((VInt(1),)), "items", (VInt(2),)),
+    VRec: (VRec({"a": VInt(1)}), "entries", (("a", VInt(2)),)),
+    Operation: (_OP, "money", 3),
+    Account: (Account(), "balance", 5),
+    Context: (Context(), "gas_remaining", 7),
+    StepOk: (StepOk(UNIT), "emitted", (_OP,)),
+    StepFail: (StepFail("no"), "reason", "other"),
+    ContractFail: (ContractFail("A", "x"), "text", "y"),
+    InsufficientBalance: (InsufficientBalance(_OP), "op", Operation("B", "ext", "run")),
+    GasExhausted: (GasExhausted(), None, None),
+    MonitorInitFail: (MonitorInitFail("A"), "addr", "B"),
+    MonitorBeginFail: (MonitorBeginFail("A"), "addr", "B"),
+    MonitorEndFail: (MonitorEndFail("A"), "addr", "B"),
+    MonitorTermFail: (MonitorTermFail("A"), "addr", "B"),
+    HookupFail: (HookupFail("A"), "addr", "B"),
+    FailBitSet: (FailBitSet(frozenset({"A"})), "addrs", frozenset({"B"})),
+    RecurringEscape: (RecurringEscape(_OP), "op", Operation("B", "ext", "run")),
+    Committed: (Committed(ChainState()), "final", ChainState({"A": Account()})),
+    Aborted: (Aborted(GasExhausted()), "reason", HookupFail("A")),
+    StepRecord: (_RECORD, "gas_after", 0),
+}
+
+
+def test_every_slotted_frozen_type_gets_the_generated_constructor():
+    slotted = {
+        cls for cls in vars(core).values()
+        if isinstance(cls, type) and dataclasses.is_dataclass(cls) and "__slots__" in vars(cls)
+    }
+    assert slotted == set(_FROZEN_EXAMPLES)
+    for cls in slotted:
+        assert cls.__init__.__code__.co_filename == "<slot init>", cls
+        params = list(inspect.signature(cls.__init__).parameters.values())[1:]
+        assert [p.name for p in params] == [f.name for f in dataclasses.fields(cls)], cls
+        for p, f in zip(params, dataclasses.fields(cls)):
+            if f.default_factory is dataclasses.MISSING:
+                assert p.default is (inspect.Parameter.empty if f.default is dataclasses.MISSING else f.default)
+    assert not hasattr(_RECORD, "__dict__")
+
+
+@pytest.mark.parametrize("cls", list(_FROZEN_EXAMPLES), ids=lambda cls: cls.__name__)
+def test_generated_constructors_keep_frozen_dataclass_behaviour(cls):
+    obj, name, other = _FROZEN_EXAMPLES[cls]
+    if name is None:
+        assert dataclasses.replace(obj) == obj and dataclasses.fields(obj) == ()
+        return
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(obj, name, other)
+    changed = dataclasses.replace(obj, **{name: other})
+    assert type(changed) is cls and getattr(changed, name) == other and changed != obj
+    assert dataclasses.replace(changed, **{name: getattr(obj, name)}) == obj
+    for f in dataclasses.fields(obj):
+        if f.name != name:
+            assert getattr(changed, f.name) == getattr(obj, f.name)
+    assert repr(obj).startswith(f"{cls.__name__}(")
+
+
+def test_generated_constructors_run_each_post_init():
+    for bad in (
+        lambda: VInt(2**63), lambda: VInt(-(2**63) - 1), lambda: VAmt(-1), lambda: VAmt(2**64),
+        lambda: Operation("A", "B", "m", UNIT, -1), lambda: Account(UNIT, -1),
+        lambda: Account(balance=2**64),
+    ):
+        with pytest.raises(ValueError):
+            bad()
+    assert VSeq([VInt(1)]).items == (VInt(1),)
+    assert StepOk(UNIT, [_OP]).emitted == (_OP,)
+    assert FailBitSet({"A"}).addrs == frozenset({"A"})
+    assert hash(_OP) == hash(Operation("A", "ext", "run", UNIT, 0, False))
+
+
+def test_default_factories_run_once_per_instance():
+    a, b = Context(), Context()
+    for f in ("counts", "fail_bits", "txmem"):
+        assert getattr(a, f) == {} and getattr(a, f) is not getattr(b, f)
+    again = StepRecord(0, RecordKind.OP, "A", _OP, (_OP,), (), (), 5, 4, "d", "s")
+    assert _RECORD.readings == {} and _RECORD.readings is not again.readings
+
+
+def test_a_record_given_tuples_for_its_queues_holds_pendings():
+    assert type(_RECORD.queue_before) is Pending and type(_RECORD.queue_after) is Pending
+    assert _RECORD.queue_before == (_OP,) and _RECORD.queue_after == ()
+    kept = StepRecord(1, RecordKind.OP, "A", _OP, _RECORD.queue_before, (), (), 5, 4, "d", "s")
+    assert kept.queue_before is _RECORD.queue_before
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from functools import lru_cache
 
 import pytest
 
+from conftest import CountingSha256
 from txmonsim import core
 from txmonsim.checks import check_all
 from txmonsim.contracts import build, callspec
@@ -56,18 +57,6 @@ def _profiled(fn):
     return out, calls
 
 
-class _CountingSha256:
-    """Stands in for the `hashlib` module in `core` and counts the bytes
-    digested."""
-
-    def __init__(self) -> None:
-        self.bytes = 0
-
-    def sha256(self, data: bytes):
-        self.bytes += len(data)
-        return hashlib.sha256(data)
-
-
 @lru_cache(maxsize=None)
 def per_record(n: int, sinks: int) -> dict[str, float]:
     engine, state, op = fanout_tx(n, sinks)
@@ -77,7 +66,7 @@ def per_record(n: int, sinks: int) -> dict[str, float]:
     assert result.committed and problems == []
 
     core._value_blob.cache_clear()
-    hashed, update, copied = _CountingSha256(), ChainState._update, [0]
+    hashed, update, copied = CountingSha256(), ChainState._update, [0]
 
     def counting_update(self, changes):
         copied[0] += len(self._accounts)

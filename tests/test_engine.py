@@ -12,7 +12,15 @@ from hypothesis import strategies as st
 
 from conftest import emitting_contract, external, inert_contract
 from txmonsim import core
-from txmonsim.checks import check_all, check_atomicity, check_gas, check_queue_laws, check_replay
+from txmonsim.checks import (
+    check_all,
+    check_atomicity,
+    check_conservation,
+    check_gas,
+    check_hook_isolation,
+    check_queue_laws,
+    check_replay,
+)
 from txmonsim.contracts import build, call, callspec
 from txmonsim.core import (
     Aborted,
@@ -427,6 +435,40 @@ def test_check_queue_laws_names_each_tampered_record(scheduler):
     assert f"record {second.index}: op record starts from an empty queue" in (
         check_queue_laws(emptied)
     )
+
+
+@pytest.mark.parametrize("scheduler", [SchedulerKind.DFS, SchedulerKind.BFS])
+def test_check_queue_laws_names_a_record_that_executes_another_op_than_its_head(scheduler):
+    # The queue is intact and only `executed` differs from the queue head;
+    # an equal copy of the head is no problem.
+    res = _once_forwarder_run(scheduler)
+    second = res.trace.ops()[1]
+    copied = _tampered(res, second.index, executed=replace(second.executed))
+    assert check_queue_laws(copied) == []
+    forged = _tampered(res, second.index, executed=replace(second.executed, method="pong"))
+    assert check_queue_laws(forged) == [f"record {second.index}: executed op is not the queue head"]
+
+
+def test_check_hook_isolation_names_a_hook_record_whose_storage_changed():
+    res = _once_forwarder_run(SchedulerKind.DFS, MonitorMode.TRANSACTION)
+    assert check_hook_isolation(res.trace) == []
+    hooks = [r for r in res.trace.records if r.kind is not RecordKind.OP]
+    assert {r.kind for r in hooks} == {RecordKind.INIT, RecordKind.BEGIN, RecordKind.END}
+    for hook in hooks:
+        tampered = _tampered(res, hook.index, storage_digest="0" * 64)
+        problems = check_hook_isolation(tampered)
+        assert problems[0] == f"record {hook.index}: hook step changed contract storage", hook.kind
+
+
+def test_check_conservation_names_a_commit_that_minted_tokens():
+    res = _once_forwarder_run(SchedulerKind.DFS)
+    pre = ChainState({a: Account() for a in ("A", "B", "C", "ext")})
+    assert res.committed and check_conservation(pre, res) == []
+    minted = res.outcome.final.with_account("ext", Account(balance=1))
+    tampered = replace(res, outcome=Committed(minted))
+    assert check_conservation(pre, tampered) == [
+        "token supply changed across a committed transaction"
+    ]
 
 
 def _bytes_per_record(scheduler, n):
