@@ -31,7 +31,8 @@ def check_queue_laws(trace: Trace) -> list[str]:
     head and leaves `before.drop().push(emitted, front=dfs)`: emitted ++ rest
     under DFS, rest ++ emitted under BFS. Every other record leaves the queue
     as it found it. Exact. On the engine's traces, whose queues share their
-    pairs, a record costs O(emitted); on records built elsewhere, O(queue).
+    nodes, a record costs O(1) apart from the amortized joins of a BFS back;
+    on records built elsewhere, O(queue).
     Each comparison tests identity first, since engine records share their
     queues and operations."""
     problems = []

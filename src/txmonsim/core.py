@@ -29,11 +29,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, FrozenInstanceError, dataclass, field, fields, is_dataclass
 from enum import Enum
 from functools import lru_cache
-from itertools import islice
-from operator import index, itemgetter
+from itertools import chain
+from operator import itemgetter
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, Optional, Union
 
 Address = str
@@ -156,12 +156,6 @@ def checked_int(n: int) -> VInt:
     return VInt(n)
 
 
-def checked_amt(n: int) -> VAmt:
-    if not (0 <= n <= U64_MAX):
-        raise ContractError(f"amount out of range: {n}")
-    return VAmt(n)
-
-
 def as_bool(v: Value) -> bool:
     if not isinstance(v, VBool):
         raise ContractError(f"expected bool value, got {v!r}")
@@ -268,6 +262,13 @@ class Operation:
     def __post_init__(self) -> None:
         if self.money < 0:
             raise ValueError("operation money must be non-negative")
+
+
+def stamp(emitted: Iterable[Operation], src: Address) -> tuple[Operation, ...]:
+    """`emitted` as sent by `src`: the engine stamps every emission so. From
+    a list, not a generator: tuple() then allocates once instead of growing
+    and shrinking, which measured about 6% slower on wide_state."""
+    return tuple([Operation(e.dest, src, e.method, e.param, e.money, e.recurring) for e in emitted])
 
 
 @dataclass(frozen=True, slots=True)
@@ -389,7 +390,7 @@ def _value_blob(v: Value) -> str:
     return json.dumps(canon(v), separators=(",", ":"))
 
 
-def _segments(state: _ChainState) -> tuple[dict[Address, int], list[str], list[str]]:
+def _segments(state: ChainState) -> tuple[dict[Address, int], list[str], list[str]]:
     """The state's sorted address order and its `addr=storage` and
     `addr=storage:balance:monitor` segments in that order, rebuilt only for
     the accounts changed since the digested ancestor, if there is one. A
@@ -421,7 +422,7 @@ def _segments(state: _ChainState) -> tuple[dict[Address, int], list[str], list[s
     return state._payload
 
 
-def digest(state: _ChainState) -> str:
+def digest(state: ChainState) -> str:
     """Stable digest of a chain state, independent of mapping iteration order:
     SHA-256 over the full segments of every account in address order."""
     if state._digest is None:
@@ -430,7 +431,7 @@ def digest(state: _ChainState) -> str:
     return state._digest
 
 
-def storage_digest(state: _ChainState) -> str:
+def storage_digest(state: ChainState) -> str:
     """Digest over contract storages only (no balances, no monitor storage);
     hook-isolation checks rely on this staying constant across hook steps."""
     if state._storage_digest is None:
@@ -444,8 +445,10 @@ def storage_digest(state: _ChainState) -> str:
 # ---------------------------------------------------------------------------
 # The pending-operation queue
 
-# A chain is None or an (op, chain) pair.
-_Chain = Optional[tuple[Operation, Any]]
+# A chain is None or a (chunk, start, next) node: the operations chunk[start:],
+# with start < len(chunk), and then, in a front chain, those of `next`; in a
+# back chain, those of `next` come first.
+_Chain = Optional[tuple[tuple[Operation, ...], int, Any]]
 
 
 class Pending:
@@ -453,117 +456,115 @@ class Pending:
     shares structure with the queue it was made from.
 
     This is Okasaki's batched queue (*Purely Functional Data Structures*,
-    1998): `front` is a chain of (op, next) pairs in queue order, `back` one
-    in reverse order, and `front` is empty only when the whole queue is.
-    `drop` and `push` return a new queue that shares every pair it keeps
-    with the old one, so a trace whose records each hold their queues holds
-    O(records + emissions) pairs, not a full copy per record. No snapshot
-    ever changes, so engines on separate threads stay independent. `head`
-    is O(1), `push` O(len(ops)), and `drop` O(1) except when it empties the
-    front, which then takes the back, reversed: O(1) amortized when each
-    queue is dropped from once, as the engine's are.
+    1998) over chunks: `push` adds the pushed tuple whole as one node, to
+    `front`, a chain in queue order, or to `back`, one in reverse order, and
+    `front` is empty only when the whole queue is. `drop` and `push` return a
+    new queue that shares every node it keeps with the old one and adds at
+    most one, so a trace whose records each hold their queues holds
+    O(records) nodes over the emitted tuples, not a copy of the queue per
+    record. No snapshot ever changes, so engines on separate threads stay
+    independent. `head` and `push` are O(1), and `drop` too except when it
+    empties the front, which then takes the back's chunks joined in order:
+    O(1) amortized when each queue is dropped from once, as the engine's are.
 
     It reads as a sequence: `len`, iteration from front to back, an int index
     gives an operation and a slice a tuple. It is equal to, and hashes like,
-    the tuple of its operations.
+    the tuple of its operations. Reading it copies whole chunks, so its cost
+    in Python is per chunk, not per operation.
     """
 
     __slots__ = ("_front", "_back", "_len")
 
     def __init__(self, ops: Iterable[Operation] = ()):
         ops = tuple(ops)
-        front: _Chain = None
-        for op in reversed(ops):
-            front = (op, front)
-        self._front, self._back, self._len = front, None, len(ops)
+        self._front, self._back, self._len = (ops, 0, None) if ops else None, None, len(ops)
 
     def head(self) -> Operation:
         if self._front is None:
             raise IndexError("head of an empty queue")
-        return self._front[0]
+        chunk, start, _ = self._front
+        return chunk[start]
 
     def drop(self) -> "Pending":
         """The queue without its head."""
         if self._front is None:
             raise IndexError("drop from an empty queue")
-        return _pending(self._front[1], self._back, self._len - 1)
+        chunk, start, rest = self._front
+        start += 1
+        front = (chunk, start, rest) if start < len(chunk) else rest
+        return _pending(front, self._back, self._len - 1)
 
     def push(self, ops: tuple[Operation, ...], front: bool) -> "Pending":
         """The queue with `ops`, in their order, ahead of it or behind it."""
+        ops = tuple(ops)
         if not ops:
             return self
         if front:
-            chain = self._front
-            for op in reversed(ops):
-                chain = (op, chain)
-            return _pending(chain, self._back, self._len + len(ops))
-        chain = self._back
-        for op in ops:
-            chain = (op, chain)
-        return _pending(self._front, chain, self._len + len(ops))
+            return _pending((ops, 0, self._front), self._back, self._len + len(ops))
+        return _pending(self._front, (ops, 0, self._back), self._len + len(ops))
+
+    def _tuple(self) -> tuple[Operation, ...]:
+        return _joined(_chunks(self._front) + _chunks(self._back)[::-1])
 
     def __len__(self) -> int:
         return self._len
 
     def __iter__(self) -> Iterator[Operation]:
-        node = self._front
-        while node is not None:
-            op, node = node
-            yield op
-        if self._back is not None:
-            yield from reversed(_ops(self._back))
+        return iter(self._tuple())
 
     def __getitem__(self, key: Union[int, slice]) -> Any:
-        if isinstance(key, slice):
-            return tuple(self)[key]
-        i = index(key)
-        if i < 0:
-            i += self._len
-        if not 0 <= i < self._len:
-            raise IndexError("queue index out of range")
-        return next(islice(self, i, None))
+        """The head is read in place; any other index or slice reads the
+        tuple of the queue."""
+        if key == 0 and self._front is not None:
+            return self.head()
+        return self._tuple()[key]
 
     def __eq__(self, other: object) -> bool:
         """Equal to a queue or tuple with the same operations in the same
-        order. Two queues are walked pair by pair, front from the head and
-        back from the tail, until their chains meet in a shared pair; only
-        chains of different shapes are compared as tuples."""
+        order. Two queues are walked node by node, front from the head and
+        back from the tail, until their chains meet in a shared node; two
+        nodes of one length over the same chunk are equal unread, and chains
+        of different shapes are compared as tuples."""
         if isinstance(other, tuple):
-            return self._len == len(other) and tuple(self) == other
+            return self._len == len(other) and self._tuple() == other
         if not isinstance(other, Pending):
             return NotImplemented
         if self._len != other._len:
             return False
         for a, b in ((self._front, other._front), (self._back, other._back)):
             while a is not b:
-                if a is None or b is None:
-                    return tuple(self) == tuple(other)
-                if a[0] != b[0]:
+                if a is None or b is None or len(a[0]) - a[1] != len(b[0]) - b[1]:
+                    return self._tuple() == other._tuple()
+                (ca, sa, a), (cb, sb, b) = a, b
+                if ca is not cb and ca[sa:] != cb[sb:]:
                     return False
-                a, b = a[1], b[1]
         return True
 
     def __hash__(self) -> int:
-        return hash(tuple(self))
+        return hash(self._tuple())
 
     def __repr__(self) -> str:
-        return f"Pending({tuple(self)!r})"
+        return f"Pending({self._tuple()!r})"
 
 
-def _ops(chain: _Chain) -> list[Operation]:
+def _chunks(node: _Chain) -> list[tuple[Operation, ...]]:
+    """The operations of each node of a chain, in chain order."""
     out = []
-    while chain is not None:
-        op, chain = chain
-        out.append(op)
+    while node is not None:
+        chunk, start, node = node
+        out.append(chunk[start:])
     return out
 
 
+def _joined(chunks: list[tuple[Operation, ...]]) -> tuple[Operation, ...]:
+    return chunks[0] if len(chunks) == 1 else tuple(chain.from_iterable(chunks))
+
+
 def _pending(front: _Chain, back: _Chain, size: int) -> Pending:
-    """A queue of the given chains; an empty front takes the back, reversed."""
+    """A queue of the given chains; an empty front takes the back's chunks,
+    oldest first, as one chunk."""
     if front is None and back is not None:
-        for op in _ops(back):
-            front = (op, front)
-        back = None
+        front, back = (_joined(_chunks(back)[::-1]), 0, None), None
     q = object.__new__(Pending)
     q._front, q._back, q._len = front, back, size
     return q
@@ -758,7 +759,7 @@ class Outcome:
 @dataclass(frozen=True, slots=True)
 class Committed(Outcome):
     kind = "committed"
-    final: _ChainState
+    final: ChainState
 
 
 @dataclass(frozen=True, slots=True)
@@ -895,6 +896,18 @@ def _slot_init(cls: type) -> Callable[..., None]:
     return init
 
 
+def _frozen_setattr(self, name: str, value: Any) -> None:
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name: str) -> None:
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+# The dataclass's own __setattr__/__delattr__ name the class that slots=True
+# replaced, so for a name that is not a field they raise TypeError from
+# super(); these raise FrozenInstanceError for every name.
 for _cls in list(globals().values()):
     if isinstance(_cls, type) and is_dataclass(_cls) and "__slots__" in vars(_cls):
         _cls.__init__ = _slot_init(_cls)
+        _cls.__setattr__, _cls.__delattr__ = _frozen_setattr, _frozen_delattr

@@ -57,6 +57,7 @@ from .core import (
     UNIT,
     Value,
     digest,
+    stamp,
     storage_digest,
 )
 from .mechanisms import READINGS, ContextView, fold_effects, run_hookups
@@ -209,12 +210,7 @@ class Engine:
         if not isinstance(result, StepOk):
             raise ScenarioError(f"step at {op.dest} returned {result!r}")
 
-        # From a list, not a generator: tuple() then allocates once instead of
-        # growing and shrinking, which measured about 6% slower on wide_state.
-        emitted = tuple([
-            Operation(e.dest, op.dest, e.method, e.param, e.money, e.recurring)
-            for e in result.emitted
-        ])
+        emitted = stamp(result.emitted, op.dest)
         for e in emitted:
             if e.recurring and (
                 e.dest != op.dest
@@ -276,8 +272,8 @@ class Engine:
 
         if cfg.monitor_mode is MonitorMode.TRANSACTION:
             for addr in ctx.visited:
-                contract = self.registry.get(addr)
-                if contract is None or not contract.monitored:
+                contract = self.registry[addr]
+                if not contract.monitored:
                     continue
                 acct = state.get(addr)
                 if contract.term is not None:
@@ -357,10 +353,6 @@ def replayer(registry: Registry) -> Callable[[StepRecord], tuple[Value, tuple[Op
         result = contract.step(view, op.method, op.param, op.money, record.storage_before, record.balance_seen)
         if not isinstance(result, StepOk):
             raise ScenarioError(f"replay of {record.index} failed: {result!r}")
-        emitted = tuple([
-            Operation(e.dest, record.subject, e.method, e.param, e.money, e.recurring)
-            for e in result.emitted
-        ])
-        return result.new_storage, emitted
+        return result.new_storage, stamp(result.emitted, record.subject)
 
     return replay

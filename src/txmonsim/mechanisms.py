@@ -11,9 +11,8 @@ record. `READINGS` names the reading each query is logged under.
 
 from __future__ import annotations
 
-import contextvars
 from dataclasses import dataclass, field
-from typing import Any, Callable, Mapping, Optional
+from typing import Any, Callable, Mapping
 
 from .core import (
     Address,
@@ -39,46 +38,9 @@ class MechanismDisabled(ContractError):
         self.mech = mech
 
 
-class BStoreBudgetError(ScenarioError):
-    """A bounded storage hookup exceeded its step budget: an authoring error,
-    reported as a diagnostic instead of a transaction abort."""
-
-
-BSTORE_STEP_BUDGET = 10_000
-
-_hook_meter: contextvars.ContextVar[Optional[list[int]]] = contextvars.ContextVar(
-    "bstore_hook_meter", default=None
-)
-
-
-def hook_tick() -> None:
-    """Charge one abstract step against the active bounded-hookup budget.
-
-    Hook bodies with loops call this once per iteration; outside a bounded
-    hookup it is a no-op.
-    """
-    meter = _hook_meter.get()
-    if meter is None:
-        return
-    meter[0] += 1
-    if meter[0] > BSTORE_STEP_BUDGET:
-        raise BStoreBudgetError(
-            f"bounded hookup exceeded {BSTORE_STEP_BUDGET} abstract steps"
-        )
-
-
-def run_bounded_hook(hook, storage: Value, balance: int, addr: Address) -> Value:
-    """Run a bstore hook under the step budget. The hook has no failure
-    outcome; anything it raises is an authoring diagnostic."""
-    token = _hook_meter.set([0])
-    try:
-        return hook(storage, balance)
-    except BStoreBudgetError:
-        raise
-    except Exception as exc:
-        raise BStoreBudgetError(f"bounded hookup at {addr} raised: {exc}") from exc
-    finally:
-        _hook_meter.reset(token)
+class BoundedHookupError(ScenarioError):
+    """A bounded storage hookup raised: it has no failure outcome, so this is
+    an authoring error, reported as a diagnostic and not a transaction abort."""
 
 
 # Per query: the reading name a record carries, the tag the answer is logged
@@ -220,20 +182,19 @@ def run_hookups(registry, state, visited, kind: Mechanism):
     """
     applied = []
     for addr in visited:
-        contract = registry.get(addr)
-        if contract is None:
-            continue
+        contract = registry[addr]
         hook = contract.bstore_hook if kind is Mechanism.BSTORE else contract.ustore_hook
         if hook is None:
             continue
         acct = state.get(addr)
-        if kind is Mechanism.BSTORE:
-            new_storage = run_bounded_hook(hook, acct.storage, acct.balance, addr)
-        else:
-            try:
-                new_storage = hook(acct.storage, acct.balance)
-            except ContractError:
+        try:
+            new_storage = hook(acct.storage, acct.balance)
+        except Exception as exc:
+            if kind is Mechanism.BSTORE:
+                raise BoundedHookupError(f"bounded hookup at {addr} raised: {exc}") from exc
+            if isinstance(exc, ContractError):
                 return state, applied, addr
+            raise
         state = state.with_storage(addr, new_storage)
         applied.append((addr, acct.storage, state))
     return state, applied, None

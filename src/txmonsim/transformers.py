@@ -21,12 +21,11 @@ from typing import Callable, Optional
 
 from .contracts import call
 from .core import (
-    Address,
     ContractDef,
     ContractError,
     Mechanism,
-    Operation,
     ScenarioError,
+    StepFail,
     StepOk,
     StepResult,
     UNIT,
@@ -39,6 +38,7 @@ from .core import (
     as_bool,
     as_int,
     as_rec,
+    stamp,
 )
 
 FAIL_POLL = "__fail_poll"
@@ -66,8 +66,13 @@ def _require_uses(c: ContractDef, allowed: frozenset[Mechanism], name: str) -> N
         )
 
 
-def _stamp(emitted: tuple[Operation, ...], addr: Address) -> tuple[Operation, ...]:
-    return tuple(replace(e, src=addr) for e in emitted)
+def _run(c: ContractDef, view, method, param, money, storage, balance) -> StepOk:
+    """Run `c`'s step. A `StepFail` is raised as a `ContractError` with its
+    reason, which the engine ends as the same `ContractFail`."""
+    res = c.step(view, method, param, money, storage, balance)
+    if isinstance(res, StepFail):
+        raise ContractError(res.reason)
+    return res
 
 
 def _transformed(
@@ -116,9 +121,7 @@ def sim_count_via_first(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         n = 1 if view.first else as_int(s.get("sim_count")) + 1
-        res = c.step(view.derive(count=lambda: n), method, param, money, s.get("base"), balance)
-        if not isinstance(res, StepOk):
-            return res
+        res = _run(c, view.derive(count=lambda: n), method, param, money, s.get("base"), balance)
         return StepOk(VRec({"base": res.new_storage, "sim_count": VInt(n)}), res.emitted)
 
     return _transformed(
@@ -144,9 +147,8 @@ def sim_first_via_txmem(c: ContractDef) -> TransformedContract:
 
     def step(view, method, param, money, storage, balance) -> StepResult:
         derived = view.derive(first=lambda: as_bool(view.txmem))
-        res = c.step(derived, method, param, money, storage, balance)
-        if isinstance(res, StepOk):
-            view.set_txmem(VBool(False))
+        res = _run(c, derived, method, param, money, storage, balance)
+        view.set_txmem(VBool(False))
         return res
 
     return _transformed(c, step, {Mechanism.TXMEM}, txmem_init=lambda storage: VBool(True))
@@ -163,12 +165,10 @@ def sim_txmem_via_first(c: ContractDef) -> TransformedContract:
         s = as_rec(storage)
         base = s.get("base")
         buf = [c.txmem_init(base) if view.first else s.get("sim_txmem")]
-        res = c.step(
-            view.derive(txmem=lambda: buf[0], set_txmem=lambda v: buf.__setitem__(0, v)),
+        res = _run(
+            c, view.derive(txmem=lambda: buf[0], set_txmem=lambda v: buf.__setitem__(0, v)),
             method, param, money, base, balance,
         )
-        if not isinstance(res, StepOk):
-            return res
         return StepOk(VRec({"base": res.new_storage, "sim_txmem": buf[0]}), res.emitted)
 
     return _transformed(
@@ -189,9 +189,7 @@ def sim_bstore_via_first(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         base = s.get("s_hookup") if view.first else s.get("base")
-        res = c.step(view, method, param, money, base, balance)
-        if not isinstance(res, StepOk):
-            return res
+        res = _run(c, view, method, param, money, base, balance)
         parked = hook(res.new_storage, balance)
         return StepOk(VRec({"base": res.new_storage, "s_hookup": parked}), res.emitted)
 
@@ -209,9 +207,7 @@ def sim_first_via_bstore(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         flag = as_bool(s.get("b_fst"))
-        res = c.step(view.derive(first=lambda: flag), method, param, money, s.get("base"), balance)
-        if not isinstance(res, StepOk):
-            return res
+        res = _run(c, view.derive(first=lambda: flag), method, param, money, s.get("base"), balance)
         return StepOk(VRec({"base": res.new_storage, "b_fst": VBool(False)}), res.emitted)
 
     def raise_flag(storage: Value, balance: int) -> Value:
@@ -235,12 +231,10 @@ def sim_fail_via_ustore(c: ContractDef) -> TransformedContract:
     def step(view, method, param, money, storage, balance) -> StepResult:
         s = as_rec(storage)
         bit = [as_bool(s.get("fl"))]
-        res = c.step(
-            view.derive(set_fail=lambda v: bit.__setitem__(0, v)),
+        res = _run(
+            c, view.derive(set_fail=lambda v: bit.__setitem__(0, v)),
             method, param, money, s.get("base"), balance,
         )
-        if not isinstance(res, StepOk):
-            return res
         return StepOk(VRec({"base": res.new_storage, "fl": VBool(bit[0])}), res.emitted)
 
     def hookup(storage: Value, balance: int) -> Value:
@@ -279,11 +273,9 @@ def monitor_via_first_fail(c: ContractDef) -> TransformedContract:
             mon = c.init(s.get("base"), bal0, mon)
         if c.begin is not None:
             mon = c.begin(method, param, money, mon)
-        res = c.step(view, method, param, money, s.get("base"), balance)
-        if not isinstance(res, StepOk):
-            return res
+        res = _run(c, view, method, param, money, s.get("base"), balance)
         # The inlined end hook sees the emissions as the engine would stamp them.
-        emitted = _stamp(res.emitted, view.self_addr)
+        emitted = stamp(res.emitted, view.self_addr)
         sent += sum(e.money for e in emitted)
         if c.end is not None:
             mon = c.end(emitted, res.new_storage, mon)
@@ -326,12 +318,10 @@ def sim_fail_via_recurring_bfs(c: ContractDef) -> TransformedContract:
                 return StepOk(s, (call(view.self_addr, FAIL_POLL, recurring=True),))
             return StepOk(s.set("poll", VBool(False)))
         bit = [as_bool(s.get("fl"))]
-        res = c.step(
-            view.derive(set_fail=lambda v: bit.__setitem__(0, v)),
+        res = _run(
+            c, view.derive(set_fail=lambda v: bit.__setitem__(0, v)),
             method, param, money, s.get("base"), balance,
         )
-        if not isinstance(res, StepOk):
-            return res
         emitted = res.emitted
         poll = as_bool(s.get("poll"))
         if bit[0] and not poll:
@@ -384,9 +374,7 @@ def sim_ustore_via_first_bfs(c: ContractDef) -> TransformedContract:
         bal0, recv, sent = _ledger(first, s, balance, money)
         live = s.get("shadow") if first else s.get("live")
         poll = not first and as_bool(s.get("poll"))
-        res = c.step(view, method, param, money, live, balance)
-        if not isinstance(res, StepOk):
-            return res
+        res = _run(c, view, method, param, money, live, balance)
         emitted = res.emitted
         sent += sum(e.money for e in emitted)
         parked, ok = evaluate(res.new_storage, bal0 + recv - sent)
@@ -424,9 +412,7 @@ def sim_ustore_via_queue_bfs(c: ContractDef) -> TransformedContract:
                 return StepOk(s, (call(view.self_addr, USTORE_CHECK, recurring=True),))
             new_base = hook(s.get("base"), balance)
             return StepOk(s.set("base", new_base).set("check", VBool(False)))
-        res = c.step(view, method, param, money, s.get("base"), balance)
-        if not isinstance(res, StepOk):
-            return res
+        res = _run(c, view, method, param, money, s.get("base"), balance)
         emitted = res.emitted
         check = as_bool(s.get("check"))
         if not check:

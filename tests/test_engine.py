@@ -471,6 +471,17 @@ def test_check_conservation_names_a_commit_that_minted_tokens():
     ]
 
 
+def test_check_atomicity_names_an_abort_whose_pre_state_changed():
+    registry = {"A": inert_contract(), "B": emitting_contract(call("A", "ping", money=5))}
+    state = ChainState({"A": Account(), "B": Account(), "ext": Account(balance=10)})
+    res = run_one(registry, state, external("B"))
+    assert isinstance(res.outcome, Aborted) and check_atomicity(state, digest(state), res) == []
+    changed = digest(state.with_account("B", Account(balance=5)))
+    assert check_atomicity(state, changed, res) == ["pre-state changed across an aborted transaction"]
+    committed = replace(res, outcome=Committed(state))
+    assert check_atomicity(state, changed, committed) == []
+
+
 def _bytes_per_record(scheduler, n):
     """Memory a fan-out-n trace holds, per record, as tracemalloc counts it."""
     core._value_blob.cache_clear()

@@ -36,12 +36,7 @@ from txmonsim.core import (
     as_seq,
 )
 from txmonsim.engine import Engine, EngineConfig
-from txmonsim.mechanisms import (
-    BStoreBudgetError,
-    BSTORE_STEP_BUDGET,
-    ContextView,
-    hook_tick,
-)
+from txmonsim.mechanisms import BoundedHookupError, ContextView
 
 
 ALL = frozenset(Mechanism)
@@ -375,14 +370,24 @@ def test_unvisited_contract_hookup_never_runs():
     assert res.committed
 
 
-def test_bstore_budget_overrun_is_a_diagnostic_not_an_abort():
-    def runaway(storage, balance):
-        for _ in range(BSTORE_STEP_BUDGET + 1):
-            hook_tick()
-        return storage
+def test_a_bounded_hookup_that_raises_is_a_diagnostic_not_an_abort():
+    # A bounded hookup has no failure outcome: even a ContractError, which
+    # an unbounded hookup turns into HookupFail, is an authoring error.
+    for error in (ContractError("refused"), ValueError("broken")):
+        def hook(storage, balance, error=error):
+            raise error
 
-    registry = {"A": replace(inert_contract(), bstore_hook=runaway)}
-    with pytest.raises(BStoreBudgetError):
+        registry = {"A": replace(inert_contract(), bstore_hook=hook)}
+        with pytest.raises(BoundedHookupError, match=f"bounded hookup at A raised: {error}"):
+            run(registry, state_for(registry), external("A"))
+
+
+def test_only_a_contract_error_from_an_unbounded_hookup_is_a_hookup_failure():
+    def hook(storage, balance):
+        raise ValueError("broken")
+
+    registry = {"A": replace(inert_contract(), ustore_hook=hook)}
+    with pytest.raises(ValueError, match="broken"):
         run(registry, state_for(registry), external("A"))
 
 
@@ -433,3 +438,9 @@ def test_derived_view_logs_its_simulated_readings_on_the_engine_view():
     view = base.derive(first=lambda: True, count=lambda: 7)
     assert view.first is True and view.count == 7
     assert base.readings == {"first": VBool(True), "count": VInt(7)}
+
+
+def test_a_view_refuses_to_derive_an_answer_to_an_unknown_name():
+    view = ContextView(Context(), "A", inert_contract(), frozenset(), (), VRec({}))
+    with pytest.raises(TypeError, match=r"cannot answer \['balance', 'fist'\]"):
+        view.derive(first=lambda: True, fist=lambda: True, balance=lambda: 0)

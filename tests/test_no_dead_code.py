@@ -1,11 +1,16 @@
-"""Every function, class and method in the package has a caller.
+"""Every function, class and method in the package has a caller in the
+package.
 
-A name counts as used when the package, the tests or the benchmark refer to
-it: as a name, as an attribute, in an import, or as a string constant that
-looks like an identifier. String constants count because some names are
-looked up by string, such as the functions the benchmark's tracer patches
-and the commands the CLI tests invoke. Words in comments and docstrings do
-not count. Dunder methods are called by the language and are left out.
+A name counts as used when the package refers to it: as a name, as an
+attribute, in an import, or as a string constant that looks like an
+identifier. String constants count because some names are looked up by
+string. Words in comments and docstrings do not count. Dunder methods are
+called by the language and are left out.
+
+Public API that nothing in the package calls is listed in `SRC_UNCALLED`,
+each name with a comment on why it stays. Those names still need a
+reference from the tests or the benchmark, and a listed name that gains a
+package caller or goes away must leave the list.
 """
 
 from __future__ import annotations
@@ -16,7 +21,20 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "txmonsim"
-SEARCHED = ("src", "tests", "perfbench")
+
+SRC_UNCALLED = frozenset({
+    # The library's one-call checker, for callers of run_transaction.
+    "check_all",
+    # Needs the digest taken before the run, which only a caller of
+    # run_transaction holds, so check_all cannot run it.
+    "check_atomicity",
+    # click commands: the CLI group dispatches to them by name.
+    "diff",
+    "explain",
+    "suite",
+    # perfbench/tracing.py patches it by name as part of core.state_update.
+    "with_account",
+})
 
 
 def _definitions() -> set[str]:
@@ -51,10 +69,20 @@ def _references(tree: ast.AST) -> Counter:
     return refs
 
 
-def test_every_definition_is_referenced():
+def _referenced_from(*tops: str) -> Counter:
     refs: Counter = Counter()
-    for top in SEARCHED:
+    for top in tops:
         for path in sorted((ROOT / top).rglob("*.py")):
             refs += _references(ast.parse(path.read_text()))
-    unused = sorted(name for name in _definitions() if not refs[name])
+    return refs
+
+
+def test_every_definition_is_referenced():
+    defined = _definitions()
+    in_src = _referenced_from("src")
+    unused = sorted(name for name in defined if not in_src[name] and name not in SRC_UNCALLED)
     assert unused == []
+    stale = sorted(name for name in SRC_UNCALLED if name not in defined or in_src[name])
+    assert stale == []
+    outside = _referenced_from("tests", "perfbench")
+    assert sorted(name for name in SRC_UNCALLED if not outside[name]) == []

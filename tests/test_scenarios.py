@@ -10,7 +10,7 @@ import pytest
 
 from txmonsim.checks import check_all
 from txmonsim.contracts import BUILTINS, build
-from txmonsim.core import ScenarioError, SchedulerKind
+from txmonsim.core import RecordKind, ScenarioError, SchedulerKind, VInt
 from txmonsim.engine import Engine
 from txmonsim.scenarios import (
     L1,
@@ -18,6 +18,8 @@ from txmonsim.scenarios import (
     REPORTS,
     SINK,
     STAGED_CLIENTS,
+    Divergence,
+    EquivCheck,
     LenderVariant,
     ObsClaim,
     QueueClaim,
@@ -78,6 +80,66 @@ def test_obs_equivalence_refuses_a_bound_below_one(upto):
     assert not check_obs_equivalence(a, b, "A", upto=1).equal
     with pytest.raises(ScenarioError, match=f"upto={upto}"):
         check_obs_equivalence(a, b, "A", upto=upto)
+
+
+# One change per observed field, each to a value that differs from the record's.
+_VIEW_CHANGES = {
+    "method": lambda r: "other",
+    "param": lambda r: VInt(99),
+    "money": lambda r: r.executed.money + 1,
+    "storage_before": lambda r: VInt(99),
+    "balance_seen": lambda r: r.balance_seen + 1,
+    "readings": lambda r: {**r.readings, "count": VInt(99)},
+}
+
+
+def _tampered(trace, subject, invocation, field):
+    """`trace` with `field` changed in the op record of `subject`'s
+    `invocation` (from 1)."""
+    record = trace.ops(subject)[invocation - 1]
+    value = _VIEW_CHANGES[field](record)
+    if field in ("method", "param", "money"):
+        changed = replace(record, executed=replace(record.executed, **{field: value}))
+    else:
+        changed = replace(record, **{field: value})
+    records = list(trace.records)
+    records[record.index] = changed
+    return replace(trace, records=tuple(records))
+
+
+@pytest.mark.parametrize("field", sorted(_VIEW_CHANGES))
+def test_obs_equivalence_names_the_first_field_that_differs(field):
+    trace = build_report(REPORTS["dfs_fail_queue"]).traces["o2"]
+    tampered = _tampered(trace, "A", 2, field)
+    left, right = observations_of(trace, "A")[1], observations_of(tampered, "A")[1]
+    assert check_obs_equivalence(trace, trace, "A") == EquivCheck(True, 2)
+    assert check_obs_equivalence(trace, tampered, "A") == EquivCheck(
+        False, 1, Divergence(2, field, getattr(left, field), getattr(right, field))
+    )
+
+
+@pytest.mark.parametrize("field", sorted(_VIEW_CHANGES))
+def test_verify_report_names_a_cross_observation_claim_whose_views_differ(field):
+    report = build_report(REPORTS["bfs_only_once"])
+    (claim,) = report.cross_obs_claims
+    swapped = _tampered(report.traces[claim.trace_b], "A", claim.invocation_b, field)
+    broken = replace(report, traces={**report.traces, claim.trace_b: swapped})
+    assert verify_report(broken) == [
+        "bfs_only_once: invocation 4 of t_prime0 and invocation 1 of seq_t differ for A"
+    ]
+
+
+@pytest.mark.parametrize("field,value", [("storage_before", VInt(99)), ("balance_seen", 99)])
+def test_verify_report_names_a_hookup_claim_whose_inputs_differ(field, value):
+    report = build_report(REPORTS["bfs_queue_gap"])
+    (claim,) = report.hookup_claims
+    trace = report.traces[claim.trace_b]
+    records = list(trace.records)
+    i = next(r.index for r in records if r.kind is RecordKind.HOOKUP and r.subject == "A")
+    records[i] = replace(records[i], **{field: value})
+    swapped = replace(trace, records=tuple(records))
+    broken = replace(report, traces={**report.traces, claim.trace_b: swapped})
+    assert verify_report(broken) == ["bfs_queue_gap: hookup inputs differ for A"]
 
 
 def test_observations_carry_only_queried_readings():

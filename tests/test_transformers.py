@@ -18,6 +18,7 @@ from txmonsim.core import (
     MonitorMode,
     Operation,
     SchedulerKind,
+    StepFail,
     StepOk,
     UNIT,
     VAmt,
@@ -25,10 +26,12 @@ from txmonsim.core import (
     VInt,
     VRec,
     VSeq,
+    VText,
     as_int,
     as_rec,
     as_seq,
 )
+from txmonsim.contracts import call
 from txmonsim.engine import Engine, EngineConfig
 from txmonsim.equivalence import (
     CASES,
@@ -38,6 +41,7 @@ from txmonsim.equivalence import (
 )
 from txmonsim.transformers import (
     TransformRefused,
+    monitor_storage_of,
     monitor_via_first_fail,
     sim_bstore_via_first,
     sim_count_via_first,
@@ -362,6 +366,24 @@ def test_monitor_transform_matches_native_verdicts_for_once_pattern():
         assert rn.committed == rt.committed == (k != 1)
 
 
+def test_the_inlined_end_hook_sees_emissions_stamped_with_their_sender():
+    def step(view, method, param, money, storage, balance):
+        return StepOk(storage, (call(T, "stop"),) if method == "go" else ())
+
+    def end(emitted, storage, ms):
+        return VSeq(as_seq(ms) + tuple(VText(e.src) for e in emitted))
+
+    native = ContractDef(step=step, end=end)
+    go = Operation(dest=T, src=EXT, method="go")
+    want, _ = run_tx(native, UNIT, set(), go, monitor_mode=MonitorMode.TRANSACTION,
+                     monitor_storage=VSeq())
+    t = monitor_via_first_fail(native)
+    got, _ = run_tx(t.wrapped, t.wrap_storage(UNIT, VSeq()), t.wrapped.mechanism_uses, go)
+    senders = VSeq((VText(T),))
+    assert want.outcome.final.monitor_storage(T) == senders
+    assert monitor_storage_of(got.outcome.final.storage(T)) == senders
+
+
 def test_monitor_transform_refuses_fail_bit_owners():
     subject, _, _ = make_subject("fail")
     from dataclasses import replace as dc_replace
@@ -382,6 +404,71 @@ def test_transform_refused_on_mixed_mechanism_inputs():
         sim_count_via_first(mixed)
     with pytest.raises(TransformRefused):
         sim_first_via_count(subject)  # count user, not a first user
+
+
+def _keep(storage, balance):
+    return storage
+
+
+@pytest.mark.parametrize(
+    "factory,uses,message",
+    [
+        (sim_txmem_via_first, {Mechanism.TXMEM}, "sim_txmem_via_first needs a txmem initializer"),
+        (sim_bstore_via_first, {Mechanism.BSTORE}, "sim_bstore_via_first needs a bounded hookup"),
+        (monitor_via_first_fail, set(), "monitor_via_first_fail needs a monitored contract"),
+        (sim_ustore_via_first_bfs, {Mechanism.USTORE}, "sim_ustore_via_first_bfs needs an unbounded hookup"),
+        (sim_ustore_via_queue_bfs, {Mechanism.USTORE}, "sim_ustore_via_queue_bfs needs an unbounded hookup"),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_transform_refuses_a_contract_without_the_hook_it_simulates(factory, uses, message):
+    bare = ContractDef(step=lambda *args: StepOk(UNIT), mechanism_uses=frozenset(uses))
+    with pytest.raises(TransformRefused) as refused:
+        factory(bare)
+    assert str(refused.value) == message
+
+
+def _refusing_step(view, method, param, money, storage, balance):
+    """Calls itself once, then refuses that call by returning StepFail."""
+    if method == "go":
+        return StepOk(storage, (call(T, "refuse"),))
+    return StepFail("refused")
+
+
+@pytest.mark.parametrize(
+    "factory,hooks,scheduler",
+    [
+        (sim_count_via_first, {"mechanism_uses": {Mechanism.COUNT}}, SchedulerKind.DFS),
+        (sim_first_via_count, {"mechanism_uses": {Mechanism.FIRST}}, SchedulerKind.DFS),
+        (sim_first_via_txmem, {"mechanism_uses": {Mechanism.FIRST}}, SchedulerKind.DFS),
+        (sim_txmem_via_first, {"mechanism_uses": {Mechanism.TXMEM}, "txmem_init": lambda s: UNIT},
+         SchedulerKind.DFS),
+        (sim_bstore_via_first, {"mechanism_uses": {Mechanism.BSTORE}, "bstore_hook": _keep},
+         SchedulerKind.DFS),
+        (sim_first_via_bstore, {"mechanism_uses": {Mechanism.FIRST}}, SchedulerKind.DFS),
+        (sim_fail_via_ustore, {"mechanism_uses": {Mechanism.FAIL}}, SchedulerKind.DFS),
+        (monitor_via_first_fail, {"term": lambda s, b, ms: None}, SchedulerKind.DFS),
+        (sim_fail_via_recurring_bfs, {"mechanism_uses": {Mechanism.FAIL}}, SchedulerKind.BFS),
+        (sim_ustore_via_first_bfs, {"mechanism_uses": {Mechanism.USTORE}, "ustore_hook": _keep},
+         SchedulerKind.BFS),
+        (sim_ustore_via_queue_bfs, {"mechanism_uses": {Mechanism.USTORE}, "ustore_hook": _keep},
+         SchedulerKind.BFS),
+    ],
+    ids=lambda v: v.__name__ if callable(v) else None,
+)
+def test_a_refusing_step_aborts_the_transformed_contract_as_it_aborts_the_native_one(
+    factory, hooks, scheduler
+):
+    uses = frozenset(hooks.get("mechanism_uses", ()))
+    native = ContractDef(step=_refusing_step, **{**hooks, "mechanism_uses": uses})
+    mode = MonitorMode.TRANSACTION if native.monitored else MonitorMode.NONE
+    go = Operation(dest=T, src=EXT, method="go")
+    want, _ = run_tx(native, UNIT, uses, go, scheduler=scheduler, monitor_mode=mode)
+    t = factory(native)
+    got, _ = run_tx(
+        t.wrapped, t.wrap_storage(UNIT), t.wrapped.mechanism_uses, go, scheduler=scheduler
+    )
+    assert want.outcome == got.outcome == Aborted(ContractFail(T, "refused"))
 
 
 @pytest.mark.parametrize(
