@@ -46,7 +46,7 @@ from .core import (
     Value,
     digest,
 )
-from .engine import Engine, EngineConfig, TxResult, charge_gas
+from .engine import Engine, EngineConfig, TxResult
 from .scenarios import (
     CounterexampleReport,
     ScenarioSpec,

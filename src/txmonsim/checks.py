@@ -162,13 +162,17 @@ def check_conservation(pre: ChainState, result: TxResult) -> list[str]:
 def check_replay(registry: Registry, trace: Trace) -> list[str]:
     """Re-run recorded steps from their recorded inputs, all through one
     replay view; pure steps must reproduce their storage result and
-    emissions exactly."""
+    emissions exactly, and a replay that raises is a problem too."""
     problems = []
     replay = replayer(registry)
     for r in trace.records:
         if r.kind is not RecordKind.OP:
             continue
-        new_storage, emitted = replay(r)
+        try:
+            new_storage, emitted = replay(r)
+        except Exception as exc:
+            problems.append(f"record {r.index}: replay failed: {type(exc).__name__}: {exc}")
+            continue
         if new_storage != r.storage_after:
             problems.append(f"record {r.index}: replay produced different storage")
         if emitted != r.emitted:

@@ -496,7 +496,6 @@ class Pending:
 
     def push(self, ops: tuple[Operation, ...], front: bool) -> "Pending":
         """The queue with `ops`, in their order, ahead of it or behind it."""
-        ops = tuple(ops)
         if not ops:
             return self
         if front:
@@ -626,9 +625,6 @@ class StepResult:
 class StepOk(StepResult):
     new_storage: Value
     emitted: tuple[Operation, ...] = ()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "emitted", tuple(self.emitted))
 
 
 @dataclass(frozen=True, slots=True)
@@ -789,8 +785,7 @@ class RecordKind(str, Enum):
 class StepRecord:
     """One trace step. Op records carry enough of the step's inputs
     (storage/balance as seen, mechanism readings) to replay the step function
-    and to rebuild per-contract observations. The queues are `Pending`; a
-    tuple given for one is turned into a `Pending`."""
+    and to rebuild per-contract observations. The queues are `Pending`."""
 
     index: int
     kind: RecordKind
@@ -807,12 +802,6 @@ class StepRecord:
     storage_after: Optional[Value] = None
     balance_seen: Optional[int] = None
     readings: Mapping[str, Value] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if type(self.queue_before) is not Pending:
-            object.__setattr__(self, "queue_before", Pending(self.queue_before))
-        if type(self.queue_after) is not Pending:
-            object.__setattr__(self, "queue_after", Pending(self.queue_after))
 
 
 @dataclass(frozen=True)

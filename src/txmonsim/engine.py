@@ -89,13 +89,6 @@ class TxResult:
         return self.outcome.committed
 
 
-def charge_gas(ctx: Context, cost: int) -> Optional[Context]:
-    """Pay `cost` from the meter; None when the charge is unaffordable."""
-    if cost > ctx.gas_remaining:
-        return None
-    return ctx.with_gas(ctx.gas_remaining - cost)
-
-
 class Engine:
     """Runs transactions against a fixed contract registry and configuration.
 
@@ -219,10 +212,10 @@ class Engine:
             ):
                 return RecurringEscape(e)
 
-        charged = charge_gas(ctx, OP_COST + EMIT_COST * len(emitted))
-        if charged is None:
+        cost = OP_COST + EMIT_COST * len(emitted)
+        if cost > gas_before:
             return GasExhausted()
-        ctx = fold_effects(charged, op.dest, view.effects)
+        ctx = fold_effects(ctx.with_gas(gas_before - cost), op.dest, view.effects)
 
         if result.new_storage is not acct.storage:
             state = state.with_storage(op.dest, result.new_storage)
@@ -351,8 +344,8 @@ def replayer(registry: Registry) -> Callable[[StepRecord], tuple[Value, tuple[Op
         view.self_addr, view.contract, view.storage = record.subject, contract, record.storage_before
         op = record.executed
         result = contract.step(view, op.method, op.param, op.money, record.storage_before, record.balance_seen)
-        if not isinstance(result, StepOk):
-            raise ScenarioError(f"replay of {record.index} failed: {result!r}")
+        if isinstance(result, StepFail):
+            raise ContractError(result.reason)
         return result.new_storage, stamp(result.emitted, record.subject)
 
     return replay

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field, replace
-from typing import Callable, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
-from .contracts import call, callspec, forwarder_B, lender_trmon, once_monitored_A, sink_C
+from .contracts import call, callspec, forwarder_B, lender_trmon, methods, once_monitored_A, sink_C
 from .core import (
     Account,
     ChainState,
@@ -75,19 +75,11 @@ GAS_LIMIT = 400
 # Param-driven subject contracts
 
 
-def _interpret_calls(spec_seq: Value) -> tuple[Operation, ...]:
-    ops = []
+def _interpret_calls(spec_seq: Value) -> Iterator[Operation]:
     for spec in as_seq(spec_seq):
         r = as_rec(spec)
-        ops.append(
-            call(
-                as_text(r.get("dest_method")).split(".", 1)[0],
-                as_text(r.get("dest_method")).split(".", 1)[1],
-                r.get("param", UNIT),
-                as_amt(r.get("money", VAmt(0))),
-            )
-        )
-    return tuple(ops)
+        dest, method = as_text(r.get("dest_method")).split(".", 1)
+        yield call(dest, method, r.get("param", UNIT), as_amt(r.get("money", VAmt(0))))
 
 
 def _act_call(dest: str, method: str, param: Value = UNIT, money: int = 0) -> VRec:
@@ -106,7 +98,7 @@ def make_subject(profile: str, hook_spec: tuple = ()) -> tuple[ContractDef, Valu
     initial monitor storage).
     """
 
-    def act(view, method, param, money, storage, balance):
+    def act(view, param, money, storage, balance):
         s = as_rec(storage)
         script = as_rec(param) if isinstance(param, VRec) else VRec({})
         log = list(as_seq(s.get("log", VSeq())))
@@ -135,14 +127,9 @@ def make_subject(profile: str, hook_spec: tuple = ()) -> tuple[ContractDef, Valu
         s = s.set("log", VSeq(tuple(log)))
         return StepOk(s, tuple(emitted))
 
-    def step(view, method, param, money, storage, balance):
-        if method != "act":
-            raise ContractError(f"no method {method!r}")
-        return act(view, method, param, money, storage, balance)
-
     storage = VRec({"log": VSeq(), "n": VInt(0), "flag": VBool(False)})
     monitor_storage: Value = UNIT
-    contract = ContractDef(step=step)
+    contract = ContractDef(step=methods(act=act))
 
     if profile in ("count", "first", "fail"):
         contract = replace(contract, mechanism_uses=frozenset({Mechanism(profile)}))
@@ -406,6 +393,32 @@ class DiffReport:
         return not self.failures
 
 
+def _divergence(case, subject, transformed, reading_key, rn, rt) -> Optional[str]:
+    """The first difference between the native run `rn` and the transformed
+    run `rt` of one transaction, or None when they agree."""
+    if rn.committed != rt.committed:
+        return f"verdict split: native {rn.outcome.kind}, transformed {rt.outcome.kind}"
+    if reading_key is not None:
+        native_reads = _subject_readings(rn.trace, reading_key)
+        trans_reads = _subject_readings(rt.trace, reading_key)
+        if native_reads != trans_reads:
+            return f"{reading_key} readings differ: {native_reads} vs {trans_reads}"
+    if _third_party_ops(rn.trace) != _third_party_ops(rt.trace):
+        return "operations toward third parties differ"
+    if isinstance(rn.outcome, Committed):
+        native, trans = rn.outcome.final, rt.outcome.final
+        projected = transformed.project(trans.storage(T))
+        if projected != native.storage(T):
+            return f"projected storage differs: {projected} vs {native.storage(T)}"
+        if subject.monitored and monitor_storage_of(trans.storage(T)) != native.monitor_storage(T):
+            return "inlined monitor storage differs"
+    else:
+        native, trans = type(rn.outcome.reason), type(rt.outcome.reason)
+        if trans is not case.aborts.get(native, native):
+            return f"abort channels differ: native {rn.outcome.kind}, transformed {rt.outcome.kind}"
+    return None
+
+
 def run_case(case: TransformerCase, seeds: range) -> DiffReport:
     report = DiffReport(case=case.name)
     reading_key = READINGS[case.profile][0] if case.profile in READINGS else None
@@ -441,48 +454,17 @@ def run_case(case: TransformerCase, seeds: range) -> DiffReport:
             rn = native_engine.run_transaction(native_state, op)
             rt = trans_engine.run_transaction(trans_state, op)
             report.transactions += 1
-
-            def fail(problem: str) -> None:
+            problem = _divergence(case, subject, transformed, reading_key, rn, rt)
+            # An end-state or abort-channel difference still counts the transaction.
+            if problem is None or problem.startswith(("projected", "inlined", "abort")):
+                report.commits += rn.committed
+                report.aborts += not rn.committed
+            if problem is not None:
                 report.failures.append(DiffFailure(case.name, seed, i, problem))
-
-            if rn.committed != rt.committed:
-                fail(
-                    f"verdict split: native {rn.outcome.kind}, "
-                    f"transformed {rt.outcome.kind}"
-                )
-                break
-            if reading_key is not None:
-                native_reads = _subject_readings(rn.trace, reading_key)
-                trans_reads = _subject_readings(rt.trace, reading_key)
-                if native_reads != trans_reads:
-                    fail(f"{reading_key} readings differ: {native_reads} vs {trans_reads}")
-                    break
-            if _third_party_ops(rn.trace) != _third_party_ops(rt.trace):
-                fail("operations toward third parties differ")
                 break
             if isinstance(rn.outcome, Committed):
-                report.commits += 1
                 native_state = rn.outcome.final
                 trans_state = rt.outcome.final  # type: ignore[union-attr]
-                native_subject = native_state.storage(T)
-                projected = transformed.project(trans_state.storage(T))
-                if projected != native_subject:
-                    fail(f"projected storage differs: {projected} vs {native_subject}")
-                    break
-                if subject.monitored:
-                    if monitor_storage_of(trans_state.storage(T)) != native_state.monitor_storage(T):
-                        fail("inlined monitor storage differs")
-                        break
-            else:
-                report.aborts += 1
-                native = type(rn.outcome.reason)  # type: ignore[union-attr]
-                expected = case.aborts.get(native, native)
-                if type(rt.outcome.reason) is not expected:  # type: ignore[union-attr]
-                    fail(
-                        f"abort channels differ: native {rn.outcome.kind}, "
-                        f"transformed {rt.outcome.kind}"
-                    )
-                    break
     return report
 
 

@@ -176,9 +176,9 @@ def run_hookups(registry, state, visited, kind: Mechanism):
     Returns (state', applied, failed) where `applied` lists
     (address, storage_before, state_after) per executed hook, and `failed` is
     the address whose unbounded hookup rejected, if any. The hook's new
-    storage and the balance it saw are the address's in state_after. Bounded
-    hookups have no failure outcome; anything they raise is an authoring
-    diagnostic, not a transaction abort.
+    storage and the balance it saw are the address's in state_after. Only an
+    unbounded hookup's `ContractError` rejects; anything else a hookup raises
+    is a `ScenarioError` (`BoundedHookupError` if bounded), not an abort.
     """
     applied = []
     for addr in visited:
@@ -194,7 +194,8 @@ def run_hookups(registry, state, visited, kind: Mechanism):
                 raise BoundedHookupError(f"bounded hookup at {addr} raised: {exc}") from exc
             if isinstance(exc, ContractError):
                 return state, applied, addr
-            raise
+            error = f"unbounded hookup at {addr} raised {type(exc).__name__}: {exc}"
+            raise ScenarioError(error) from exc
         state = state.with_storage(addr, new_storage)
         applied.append((addr, acct.storage, state))
     return state, applied, None

@@ -414,7 +414,6 @@ def test_generated_constructors_run_each_post_init():
         with pytest.raises(ValueError):
             bad()
     assert VSeq([VInt(1)]).items == (VInt(1),)
-    assert StepOk(UNIT, [_OP]).emitted == (_OP,)
     assert FailBitSet({"A"}).addrs == frozenset({"A"})
     assert hash(_OP) == hash(Operation("A", "ext", "run", UNIT, 0, False))
 
@@ -425,13 +424,6 @@ def test_default_factories_run_once_per_instance():
         assert getattr(a, f) == {} and getattr(a, f) is not getattr(b, f)
     again = StepRecord(0, RecordKind.OP, "A", _OP, (_OP,), (), (), 5, 4, "d", "s")
     assert _RECORD.readings == {} and _RECORD.readings is not again.readings
-
-
-def test_a_record_given_tuples_for_its_queues_holds_pendings():
-    assert type(_RECORD.queue_before) is Pending and type(_RECORD.queue_after) is Pending
-    assert _RECORD.queue_before == (_OP,) and _RECORD.queue_after == ()
-    kept = StepRecord(1, RecordKind.OP, "A", _OP, _RECORD.queue_before, (), (), 5, 4, "d", "s")
-    assert kept.queue_before is _RECORD.queue_before
 
 
 # ---------------------------------------------------------------------------
@@ -471,6 +463,7 @@ def test_pending_matches_a_tuple_model_across_branching_history(start, edits):
         assert tuple(q) == model and len(q) == len(model)
         assert q == model and model == q and not q != model and q != list(model)
         assert hash(q) == hash(model)
+        assert repr(q) == f"Pending({model!r})"
         assert q == Pending(model) and Pending(model) == q
         assert q[1:] == model[1:] and q[::-1] == model[::-1]
         if model:

@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import gc
+import json
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -27,8 +29,8 @@ from txmonsim.core import (
     Account,
     ChainState,
     Committed,
+    ContractError,
     ContractFail,
-    Context,
     GasExhausted,
     InsufficientBalance,
     Mechanism,
@@ -39,6 +41,7 @@ from txmonsim.core import (
     RecurringEscape,
     ScenarioError,
     SchedulerKind,
+    StepFail,
     StepOk,
     U64_MAX,
     UNIT,
@@ -50,26 +53,14 @@ from txmonsim.core import (
     digest,
 )
 from txmonsim.core import ContractDef
-from txmonsim.engine import EMIT_COST, Engine, EngineConfig, OP_COST, charge_gas, replayer
+from txmonsim.engine import EMIT_COST, Engine, EngineConfig, OP_COST, replayer
+from txmonsim.scenarios import build_scenario, run_scenario
+from txmonsim.serialize import scenario_from_json
 
 
 def run_one(registry, state, op, scheduler=SchedulerKind.DFS, gas=100, **cfg):
     engine = Engine(registry, EngineConfig(scheduler=scheduler, gas_limit=gas, **cfg), debug=True)
     return engine.run_transaction(state, op)
-
-
-# ---------------------------------------------------------------------------
-# charge_gas
-
-
-def test_charge_gas_boundary_exact():
-    ctx = Context(gas_remaining=5)
-    out = charge_gas(ctx, 5)
-    assert out is not None and out.gas_remaining == 0
-
-
-def test_charge_gas_unaffordable():
-    assert charge_gas(Context(gas_remaining=4), 5) is None
 
 
 def _counted_self_call():
@@ -226,6 +217,14 @@ def test_recurring_ops_carry_no_money():
     assert isinstance(res.outcome.reason, RecurringEscape)
 
 
+def test_a_recurring_op_under_a_method_not_declared_recurring_escapes():
+    tock = call("A", "tock", recurring=True)
+    registry = {"A": replace(emitting_contract(tock), recurring_methods=frozenset({"tick"}))}
+    state = ChainState({"A": Account(), "ext": Account()})
+    res = run_one(registry, state, external("A", "tick"))
+    assert res.outcome == Aborted(RecurringEscape(replace(tock, src="A")))
+
+
 # ---------------------------------------------------------------------------
 # Queue disciplines (exact shapes)
 
@@ -376,7 +375,8 @@ def test_check_all_names_a_record_that_executes_an_operation_never_pending():
     records = list(res.trace.records)
     assert _labels(records[2].queue_before) == ["C.ping", "C.ping"]
     pong = replace(records[2].executed, method="pong")
-    records[2] = replace(records[2], executed=pong, queue_before=(pong,) + records[2].queue_before[1:])
+    forged = Pending((pong,) + records[2].queue_before[1:])
+    records[2] = replace(records[2], executed=pong, queue_before=forged)
     tampered = replace(res, trace=replace(res.trace, records=tuple(records)))
     assert check_all(registry, state, tampered) == [
         "record 2: queue does not continue the previous record"
@@ -413,25 +413,24 @@ def test_check_queue_laws_names_each_tampered_record(scheduler):
     law = f"record {first.index}: op breaks the {scheduler.value} queue law"
     after = first.queue_after
     for forged in (
-        after[1:] + after[:1],  # reordered
-        after[:-1],  # missing its last op
+        Pending(after[1:] + after[:1]),  # reordered
+        Pending(after[:-1]),  # missing its last op
         # a queue of the right length, sharing the rest, with one op changed
         first.queue_before.drop().push(
             first.emitted[:-1] + (replace(first.emitted[-1], method="pong"),), front=dfs
         ),
     ):
         tampered = _tampered(res, first.index, queue_after=forged)
-        assert isinstance(tampered.records[first.index].queue_after, Pending)
         assert law in check_queue_laws(tampered), forged
 
     hook = next(r for r in res.trace.records if r.kind is RecordKind.BEGIN)
-    moved = _tampered(res, hook.index, queue_after=hook.queue_after[1:])
+    moved = _tampered(res, hook.index, queue_after=Pending(hook.queue_after[1:]))
     assert f"record {hook.index}: begin breaks the {scheduler.value} queue law" in (
         check_queue_laws(moved)
     )
 
     second = res.trace.ops()[1]
-    emptied = _tampered(res, second.index, queue_before=())
+    emptied = _tampered(res, second.index, queue_before=Pending())
     assert f"record {second.index}: op record starts from an empty queue" in (
         check_queue_laws(emptied)
     )
@@ -663,6 +662,34 @@ def test_check_replay_names_the_record_whose_storage_or_emissions_differ():
     tampered = _tampered(res, forwarder.index, emitted=forwarder.emitted[:-1])
     assert check_replay(registry, tampered) == [
         f"record {forwarder.index}: replay produced different emissions"
+    ]
+
+
+def test_check_replay_reports_a_record_it_cannot_replay_and_goes_on():
+    path = Path(__file__).resolve().parent.parent / "scenarios" / "flashloan_trmon.json"
+    spec = scenario_from_json(json.loads(path.read_text()))
+    state, registry = build_scenario(spec)
+    res = run_scenario(spec).results[0]
+    assert check_replay(registry, res.trace) == []
+    first, second = res.trace.ops()[:2]
+    records = list(res.trace.records)
+    records[first.index] = replace(first, executed=replace(first.executed, method="nope"))
+    records[second.index] = replace(second, storage_after=VRec({"forged": VBool(True)}))
+    tampered = replace(res.trace, records=tuple(records))
+    assert check_replay(registry, tampered) == [
+        f"record {first.index}: replay failed: ContractError: no method 'nope'",
+        f"record {second.index}: replay produced different storage",
+    ]
+
+
+def test_a_step_that_fails_on_replay_is_a_contract_error_and_a_replay_problem():
+    state = ChainState({"A": Account(), "ext": Account()})
+    res = run_one({"A": inert_contract()}, state, external("A"))
+    refusing = {"A": ContractDef(step=lambda *args: StepFail("refused on replay"))}
+    with pytest.raises(ContractError, match="^refused on replay$"):
+        replayer(refusing)(res.trace.records[0])
+    assert check_replay(refusing, res.trace) == [
+        "record 0: replay failed: ContractError: refused on replay"
     ]
 
 

@@ -22,6 +22,7 @@ from txmonsim.core import (
     Mechanism,
     Operation,
     RecordKind,
+    ScenarioError,
     SchedulerKind,
     StepOk,
     VAddr,
@@ -387,8 +388,11 @@ def test_only_a_contract_error_from_an_unbounded_hookup_is_a_hookup_failure():
         raise ValueError("broken")
 
     registry = {"A": replace(inert_contract(), ustore_hook=hook)}
-    with pytest.raises(ValueError, match="broken"):
+    with pytest.raises(ScenarioError) as raised:
         run(registry, state_for(registry), external("A"))
+    assert str(raised.value) == "unbounded hookup at A raised ValueError: broken"
+    assert type(raised.value) is ScenarioError
+    assert isinstance(raised.value.__cause__, ValueError) and str(raised.value.__cause__) == "broken"
 
 
 def test_disabling_unused_mechanisms_never_changes_the_outcome():

@@ -4,6 +4,8 @@ acceptance module)."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import pytest
 
 from txmonsim.core import (
@@ -524,6 +526,72 @@ def test_differential_equivalence_sampled(name):
 def test_composition_round_trip_is_observational_identity():
     report = run_composition(range(0, 40))
     assert report.ok, report.failures[:3]
+
+
+def _with_step(after=None, **answers):
+    """Breaks a transformed contract: its step sees a view that answers
+    `answers` itself, and its result goes through `after`."""
+
+    def breaks(t):
+        inner = t.wrapped.step
+
+        def step(view, method, param, money, storage, balance):
+            res = inner(view.derive(**answers), method, param, money, storage, balance)
+            return res if after is None else after(res)
+
+        return replace(t, wrapped=replace(t.wrapped, step=step))
+
+    return breaks
+
+
+def _unmonitored(res):
+    return replace(res, new_storage=as_rec(res.new_storage).set("mon", VAmt(0)))
+
+
+@pytest.mark.parametrize(
+    "name, breaks, changes, seed, tx, problem, counts",
+    [
+        pytest.param(
+            "count_via_first", _with_step(lambda res: StepFail("broken")), {}, 0, 0,
+            "verdict split: native committed, transformed contract_fail", (0, 0), id="verdict",
+        ),
+        pytest.param(
+            "first_via_count", _with_step(count=lambda: 2), {}, 0, 0,
+            "first readings differ: [VBool(b=True)] vs [VBool(b=False)]", (0, 0), id="readings",
+        ),
+        pytest.param(
+            "count_via_first",
+            _with_step(lambda res: replace(res, emitted=res.emitted + (call("S", "ping"),))),
+            {}, 0, 0, "operations toward third parties differ", (0, 0), id="third_parties",
+        ),
+        pytest.param(
+            "count_via_first", lambda t: replace(t, project=lambda s: UNIT), {}, 0, 0,
+            "projected storage differs: VUnit() vs VRec(", (1, 0), id="projected_storage",
+        ),
+        pytest.param(
+            "monitor_via_first_fail", _with_step(_unmonitored), {}, 9, 1,
+            "inlined monitor storage differs", (1, 1), id="monitor_storage",
+        ),
+        pytest.param(
+            "fail_via_ustore", lambda t: t, {"aborts": {}}, 0, 0,
+            "abort channels differ: native fail_bit_set, transformed hookup_fail", (0, 1),
+            id="abort_channels",
+        ),
+    ],
+)
+def test_run_case_names_the_first_difference_of_a_broken_transformer(
+    name, breaks, changes, seed, tx, problem, counts
+):
+    # A verdict, readings or third-party difference stops before the
+    # transaction is counted; an end-state or abort-channel difference counts
+    # it as a commit or an abort. Monitor seed 9 aborts, then differs.
+    case = CASES[name]
+    broken = replace(case, transform=lambda c: breaks(case.transform(c)), **changes)
+    report = run_case(broken, range(seed, seed + 1))
+    (failure,) = report.failures
+    assert (failure.case, failure.seed, failure.tx_index) == (name, seed, tx)
+    assert failure.problem.startswith(problem), failure.problem
+    assert (report.transactions, report.commits, report.aborts) == (tx + 1, *counts)
 
 
 @pytest.mark.parametrize("seed", [1000029, 1000060])
